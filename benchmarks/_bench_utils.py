@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import os
+from perf.bench_env import parse_scale
 
 
 def bench_scale() -> float:
-    """The benchmark world scale (REPRO_BENCH_SCALE, default 1.0)."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+    """The benchmark world scale (REPRO_BENCH_SCALE, default 1.0).
+
+    A bad value never gets this far: ``conftest.py`` validates it before
+    collection and stops the run with one ``error: ...`` line, exit 2.
+    """
+    return parse_scale(1.0)

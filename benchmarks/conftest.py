@@ -29,6 +29,14 @@ from repro.worldgen.world import CONTROL_DOMAIN
 INGRESS_ASNS = {714, 36183}
 
 
+def pytest_configure(config):
+    """Refuse a bad ``REPRO_BENCH_SCALE`` before collecting anything."""
+    try:
+        bench_scale()
+    except ValueError as exc:
+        pytest.exit(f"error: {exc}", returncode=2)
+
+
 @pytest.fixture(scope="session")
 def bench_world():
     """The world every benchmark runs against."""

@@ -47,6 +47,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from bench_env import scale_or_exit
+
 STARTUP_TIMEOUT_S = 180.0
 POLL_INTERVAL_S = 0.05
 
@@ -445,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         help="legs to skip (local iteration only; CI runs all three)",
     )
     args = parser.parse_args(argv)
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
+    scale = scale_or_exit(0.05)
     seed = int(os.environ.get("REPRO_BENCH_SEED", "2022"))
     print(f"chaos drill at scale={scale} seed={seed} ...")
     try:

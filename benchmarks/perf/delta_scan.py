@@ -33,6 +33,7 @@ import os
 import sys
 from pathlib import Path
 
+from bench_env import scale_or_exit
 from run_bench import DeltaDivergence, _delta_leg, check_delta, current_commit
 
 
@@ -51,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         help="result path (default BENCH_scan.json)",
     )
     args = parser.parse_args(argv)
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.2"))
+    scale = scale_or_exit(0.2)
     seed = int(os.environ.get("REPRO_BENCH_SEED", "2022"))
     print(
         f"delta-scan drill at scale={scale} seed={seed} "

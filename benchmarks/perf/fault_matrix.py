@@ -35,6 +35,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from bench_env import scale_or_exit
+
 
 def _campaign_scans(campaign):
     for month in campaign.months:
@@ -186,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the cell's telemetry snapshot here")
     args = parser.parse_args(argv)
 
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
+    scale = scale_or_exit(0.05)
     seed = int(os.environ.get("REPRO_BENCH_SEED", "2022"))
     print(
         f"fault matrix cell: profile={args.profile} workers={args.workers} "

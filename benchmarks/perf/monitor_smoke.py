@@ -37,6 +37,8 @@ import time
 import urllib.request
 from pathlib import Path
 
+from bench_env import scale_or_exit
+
 ANNOUNCE = re.compile(r"serving status on (http://[\d.]+:\d+)")
 SAMPLE = re.compile(
     r"^[A-Za-z_:][A-Za-z0-9_:]*(\{[^}]*\})? -?\d+(\.\d+)?([eE][+-]?\d+)?$"
@@ -187,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         help="delta rounds to run (default 40; keeps a wide polling window)",
     )
     args = parser.parse_args(argv)
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
+    scale = scale_or_exit(0.1)
     seed = int(os.environ.get("REPRO_BENCH_SEED", "2022"))
     print(
         f"monitoring smoke drill at scale={scale} seed={seed} "

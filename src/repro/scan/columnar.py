@@ -52,6 +52,29 @@ class ColumnarResponses:
         self._prefixes = prefixes if prefixes is not None else {}
         self._retained: list[object] = []
 
+    @classmethod
+    def pack(cls, responses: list, subnet_len: int) -> "ColumnarResponses":
+        """A classic ``list[EcsResponse]`` packed into one chunk.
+
+        Answers are interned by tuple identity (the list keeps every
+        tuple alive while packing), like the kernels' answer tables.
+        """
+        packed = cls(subnet_len)
+        values, scopes, refs, table = packed.new_chunk()
+        index: dict[tuple[int, int | None], int] = {}
+        for response in responses:
+            addresses = response.addresses
+            asn = response.answer_asn
+            key = (id(addresses), asn)
+            ref = index.get(key)
+            if ref is None:
+                ref = index[key] = len(table)
+                table.append((addresses, asn))
+            values.append(response.subnet.value)
+            scopes.append(response.scope)
+            refs.append(ref)
+        return packed
+
     def new_chunk(self) -> Chunk:
         """Append and return one empty chunk for a producer to fill."""
         chunk: Chunk = (array("I"), array("B"), array("I"), [])

@@ -51,9 +51,14 @@ detected within ``refresh_rounds * secondary_stretch``.)
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+from array import array
+from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from repro.errors import CheckpointError
@@ -66,6 +71,7 @@ from repro.faults.storage import (
 from repro.scan.checkpoint import payload_crc, quarantine_warning
 from repro.netmodel.addr import IPAddress, Prefix
 from repro.relay.service import RELAY_DOMAIN_FALLBACK, RELAY_DOMAIN_QUIC
+from repro.scan.columnar import ColumnarResponses
 from repro.scan.ecs_scanner import EcsResponse, EcsScanResult, merge_ranges
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -100,35 +106,181 @@ def _row_key(domain: str, value: int) -> int:
     return _mix64(fault_key(f"{domain}:{value}"))
 
 
-@dataclass(slots=True)
-class BlockRow:
-    """One remembered scope block: a walk landing and its last answer."""
+@contextmanager
+def _gc_paused():
+    """Suspend cyclic GC for a block, as ``EcsScanner.scan_ranges`` does.
 
-    value: int
-    scope: int
-    addresses: tuple[IPAddress, ...]
-    asn: int | None
-    #: Roster id (union-find leaf; resolve through ``DomainSnapshot.find``).
-    rid: int
-    #: Round the block was last probed (-1 = only the seeding full scan).
-    refreshed: int
-    #: Round the block's answer last changed (-1 = never since seed).
-    changed: int
-    #: Churn weight: probed every round while positive, decremented on
-    #: each quiet probe.
-    weight: int
-    #: Wheel position (content-keyed, recomputed on load, not persisted).
-    key: int
+    A round allocates tens of thousands of acyclic objects (the encoded
+    snapshot rows above all) that refcounting frees on its own, while
+    each generational collection they trigger re-traverses the whole
+    world graph.  Nests safely: only the outermost pause re-enables.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
-@dataclass(slots=True)
-class SparseRow:
-    """One answered sparse probe of unrouted space."""
+class BlockColumns:
+    """The remembered scope blocks of one domain, as parallel columns.
 
-    value: int
-    scope: int
-    addresses: tuple[IPAddress, ...]
-    asn: int | None
+    Row ``i`` is one walk landing of the last full enumeration and its
+    last answer; rows are sorted by ``values``.  Columns are never
+    written in place once a round has published them (the accumulated
+    view shares them): every change builds new arrays.
+
+    * ``values``    — ``array('I')`` block start (the probed subnet),
+    * ``scopes``    — ``array('B')`` declared ECS scope,
+    * ``refs``      — ``array('I')`` index into the snapshot's
+      :class:`WindowTable` (answer addresses plus answer AS),
+    * ``rids``      — ``array('I')`` roster id (union-find leaf; resolve
+      through :meth:`DomainSnapshot.find`),
+    * ``refreshed`` — ``array('i')`` round last probed (-1 = only the
+      seeding full scan),
+    * ``changed``   — ``array('i')`` round the answer last changed (-1 =
+      never since seed),
+    * ``weights``   — ``array('i')`` churn weight: probed every round
+      while positive, decremented on each quiet probe,
+    * ``keys``      — ``array('Q')`` wheel position (content-keyed,
+      recomputed on load, not persisted).
+    """
+
+    NAMES = (
+        "values", "scopes", "refs", "rids", "refreshed", "changed", "weights", "keys"
+    )
+    TYPECODES = ("I", "B", "I", "I", "i", "i", "i", "Q")
+
+    __slots__ = NAMES
+
+    def __init__(self, *columns: array) -> None:
+        if not columns:
+            columns = tuple(array(code) for code in self.TYPECODES)
+        for name, column in zip(self.NAMES, columns):
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def columns(self) -> tuple[array, ...]:
+        """Every column, in :attr:`NAMES` order."""
+        return tuple(getattr(self, name) for name in self.NAMES)
+
+    def extend_from(self, other: "BlockColumns", start: int, stop: int) -> None:
+        """Append rows ``start:stop`` of ``other`` (slice copies, no per-row work)."""
+        if start < stop:
+            for name in self.NAMES:
+                getattr(self, name).extend(getattr(other, name)[start:stop])
+
+    def take(self, runs: list[tuple[int, int]]) -> "BlockColumns":
+        """The rows of the given ``(start, stop)`` index runs, in run order."""
+        out = type(self)()
+        for start, stop in runs:
+            out.extend_from(self, start, stop)
+        return out
+
+    def within(self, ranges: list[tuple[int, int]]) -> "BlockColumns":
+        """Rows whose value lies inside one of the disjoint inclusive ranges.
+
+        Returns ``self`` when every row does (the common, routing-stable
+        case), so nothing is copied.
+        """
+        values = self.values
+        runs = [
+            (bisect_left(values, start), bisect_right(values, end))
+            for start, end in sorted(ranges)
+        ]
+        if sum(stop - start for start, stop in runs) == len(values):
+            return self
+        return self.take(runs)
+
+    def sorted_by_value(self) -> "BlockColumns":
+        """``self`` if the rows are in value order, else a sorted copy."""
+        values = self.values
+        if all(a < b for a, b in zip(values, values[1:])):
+            return self
+        order = sorted(range(len(values)), key=values.__getitem__)
+        return type(self)(
+            *(
+                array(column.typecode, map(column.__getitem__, order))
+                for column in self.columns()
+            )
+        )
+
+
+class SparseColumns(BlockColumns):
+    """The answered sparse probes of unrouted space, as parallel columns
+    (``values``, ``scopes``, ``refs``; same conventions as
+    :class:`BlockColumns`)."""
+
+    NAMES = ("values", "scopes", "refs")
+    TYPECODES = ("I", "B", "I")
+
+    __slots__ = ()
+
+
+class WindowTable:
+    """The interned answer windows of one domain snapshot.
+
+    One entry per distinct ``(addresses, answer AS)`` pair; the block and
+    sparse columns refer to entries by index.  The table persists across
+    rounds: a round's fresh answers intern into it, and
+    :meth:`DomainSnapshot.compact` drops entries no row refers to, so
+    every entry is referenced and the routed rows' entries come first.
+    """
+
+    __slots__ = ("entries", "pairs", "sets", "_index")
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[tuple[IPAddress, ...], int | None]] = []
+        #: Per entry, the addresses as ``(version, value)`` pairs: the
+        #: content key, and the persisted form of the window.
+        self.pairs: list[tuple[tuple[int, int], ...]] = []
+        #: Per entry, the addresses as a frozenset: set tests against
+        #: rosters reuse its stored hashes instead of rehashing.
+        self.sets: list[frozenset[IPAddress]] = []
+        self._index: dict[tuple, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def intern(
+        self,
+        addresses: tuple[IPAddress, ...],
+        asn: int | None,
+        pairs: tuple[tuple[int, int], ...] | None = None,
+    ) -> int:
+        """The entry index of one answer window, adding it if new."""
+        if pairs is None:
+            pairs = tuple((a.version, a.value) for a in addresses)
+        key = (pairs, asn)
+        ref = self._index.get(key)
+        if ref is None:
+            ref = self._index[key] = len(self.entries)
+            self.entries.append((addresses, asn))
+            self.pairs.append(pairs)
+            self.sets.append(frozenset(addresses))
+        return ref
+
+    def compact(self, order: list[int]) -> list[int]:
+        """Keep only the entries in ``order``, renumbered in that order.
+
+        Returns the old-to-new index map (dropped entries map to 0).
+        """
+        remap = [0] * len(self.entries)
+        for new, old in enumerate(order):
+            remap[old] = new
+        self.entries = [self.entries[old] for old in order]
+        self.pairs = [self.pairs[old] for old in order]
+        self.sets = [self.sets[old] for old in order]
+        self._index = {
+            (pairs, entry[1]): i
+            for i, (pairs, entry) in enumerate(zip(self.pairs, self.entries))
+        }
+        return remap
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +304,8 @@ class DomainSnapshot:
     """Everything the delta engine remembers about one domain.
 
     ``rows`` tile the routed spans (every walk landing of the last full
-    enumeration), ``sparse_rows`` are the answered unrouted probes, and
+    enumeration), ``sparse_rows`` are the answered unrouted probes —
+    both columnar, referring into the ``windows`` table — and
     ``rosters`` is the learned supplier-roster partition of all answer
     addresses (union-find: ``parent`` over roster ids, ``addr_rid``
     from address to leaf id).
@@ -164,8 +317,9 @@ class DomainSnapshot:
     seeded_at: float
     spans: list[tuple[int, int]]
     gaps: list[tuple[int, int]]
-    rows: list[BlockRow] = field(default_factory=list)
-    sparse_rows: list[SparseRow] = field(default_factory=list)
+    rows: BlockColumns = field(default_factory=BlockColumns)
+    sparse_rows: SparseColumns = field(default_factory=SparseColumns)
+    windows: WindowTable = field(default_factory=WindowTable)
     rosters: list[set[IPAddress]] = field(default_factory=list)
     parent: list[int] = field(default_factory=list)
     addr_rid: dict[IPAddress, int] = field(default_factory=dict)
@@ -177,6 +331,65 @@ class DomainSnapshot:
     #: fits one window — its window set is rotation-invariant, giving an
     #: exact per-row change fingerprint (see :meth:`classify`).
     window_max: int = 0
+    #: Leading ``windows`` entries the routed rows refer to (set by
+    #: :meth:`compact`; the rest are referred to by sparse rows only).
+    routed_windows: int = 0
+
+    # -- columnar intake -------------------------------------------------
+
+    def intake(self, result: EcsScanResult) -> tuple[array, array, array]:
+        """A scan's routed answers as ``(values, scopes, refs)`` columns.
+
+        Reads the result's columnar chunks — plain arrays from the
+        kernel, ``memoryview`` casts from the sharded merge — and
+        interns each chunk's answer table into :attr:`windows`.  A
+        result that carries a ``responses`` list instead (the per-query
+        fallback, the reference path) is packed into one chunk first.
+        """
+        columnar = result.columnar_view()
+        if columnar is None:
+            columnar = ColumnarResponses.pack(result.responses, self.source_len)
+        values, scopes, refs = array("I"), array("B"), array("I")
+        intern = self.windows.intern
+        for chunk_values, chunk_scopes, chunk_refs, table in columnar.chunks:
+            values.frombytes(memoryview(chunk_values).cast("B"))
+            scopes.frombytes(memoryview(chunk_scopes).cast("B"))
+            remap = [intern(addresses, asn) for addresses, asn in table]
+            refs.extend(map(remap.__getitem__, chunk_refs))
+        return values, scopes, refs
+
+    def intake_sparse(self, responses: list) -> SparseColumns:
+        """Sparse responses as value-sorted columns (windows interned)."""
+        intern = self.windows.intern
+        return SparseColumns(
+            array("I", [response.subnet.value for response in responses]),
+            array("B", [response.scope for response in responses]),
+            array(
+                "I",
+                [
+                    intern(response.addresses, response.answer_asn)
+                    for response in responses
+                ],
+            ),
+        ).sorted_by_value()
+
+    def compact(self) -> None:
+        """Drop unreferenced windows; renumber in first-use order.
+
+        First use over the rows, then over the sparse rows — the order
+        the persisted table uses — so the routed rows' windows are the
+        leading :attr:`routed_windows` entries.
+        """
+        rows, sparse = self.rows, self.sparse_rows
+        routed = dict.fromkeys(rows.refs)
+        order = list(routed)
+        self.routed_windows = len(order)
+        order.extend(ref for ref in dict.fromkeys(sparse.refs) if ref not in routed)
+        if order == list(range(len(self.windows))):
+            return
+        remap = self.windows.compact(order).__getitem__
+        rows.refs = array("I", map(remap, rows.refs))
+        sparse.refs = array("I", map(remap, sparse.refs))
 
     # -- union-find over answer rosters ---------------------------------
 
@@ -203,6 +416,9 @@ class DomainSnapshot:
         Windows of one supplier chain together: consecutive rotation
         windows share all but one address, so any overlap unions their
         rosters.  A window with no known address starts a new roster.
+        Absorbing a window again changes nothing (all its addresses
+        already share one root), so callers absorb each distinct window
+        once and reuse the id.
         """
         rid = -1
         for address in addresses:
@@ -224,32 +440,38 @@ class DomainSnapshot:
             self.addr_rid[address] = rid
         return rid
 
-    def classify(
-        self, row: BlockRow, addresses: tuple[IPAddress, ...]
-    ) -> str:
-        """A probed window against the block's remembered answers.
+    def classify(self, old_ref: int, rid: int, new_ref: int) -> str:
+        """A probed window (``new_ref``) against a block's remembered one.
 
-        Saturated rings first: a window shorter than the domain's
-        maximum is its supplier's *entire* roster, so rotation can never
-        change it as a set — any set change is a supplier change
-        (``moved``).  This stays exact even where the roster partition
-        below has been chained together by spilled suppliers.
+        ``old_ref`` and ``rid`` are the block's remembered window and
+        roster.  Saturated rings first: a window shorter than the
+        domain's maximum is its supplier's *entire* roster, so rotation
+        can never change it as a set — any set change is a supplier
+        change (``moved``).  This stays exact even where the roster
+        partition below has been chained together by spilled suppliers.
 
         Otherwise, the learned roster partition: ``same`` — every
         address known (pure rotation); ``grow`` — some known (rotation
         exposing new roster members); ``moved`` — none known (answers
         from a disjoint supplier: a pod move).
         """
-        old = row.addresses
-        if len(old) < self.window_max or len(addresses) < self.window_max:
-            return "same" if set(addresses) == set(old) else "moved"
-        roster = self.rosters[self.find(row.rid)]
-        hits = sum(1 for address in addresses if address in roster)
-        if hits == len(addresses):
+        if old_ref == new_ref:
             return "same"
-        if hits:
-            return "grow"
-        return "moved"
+        entries = self.windows.entries
+        sets = self.windows.sets
+        window_max = self.window_max
+        if (
+            len(entries[old_ref][0]) < window_max
+            or len(entries[new_ref][0]) < window_max
+        ):
+            return "same" if sets[new_ref] == sets[old_ref] else "moved"
+        roster = self.rosters[self.find(rid)]
+        addresses = sets[new_ref]
+        if roster.issuperset(addresses):
+            return "same"
+        if roster.isdisjoint(addresses):
+            return "moved"
+        return "grow"
 
 
 # ----------------------------------------------------------------------
@@ -260,53 +482,64 @@ class DomainSnapshot:
 def encode_snapshot(snapshot: DomainSnapshot) -> dict:
     """One domain snapshot as a JSON-safe dict.
 
-    Answer windows are deduplicated into a table (rows of one supplier
-    share windows heavily); rosters are compacted to their union-find
-    roots in first-use order, so the encoding is independent of merge
-    history.
+    Written straight from the columns.  Answer windows are deduplicated
+    into a table of address lists in first-use order over the rows, then
+    the sparse rows (the answer AS is stored per row); rosters are
+    compacted to their union-find roots in first-use order, so the
+    encoding is independent of merge history.
     """
+    rows, sparse, windows = snapshot.rows, snapshot.sparse_rows, snapshot.windows
     table_index: dict[tuple, int] = {}
     table: list = []
+    table_ref = [0] * len(windows)
+    window_pairs = windows.pairs
+    for ref in dict.fromkeys(chain(rows.refs, sparse.refs)):
+        pairs = window_pairs[ref]
+        position = table_index.get(pairs)
+        if position is None:
+            position = table_index[pairs] = len(table)
+            table.append([list(pair) for pair in pairs])
+        table_ref[ref] = position
     roster_index: dict[int, int] = {}
+    roster_of: dict[int, int] = {}
     rosters: list = []
-
-    def window_ref(addresses: tuple[IPAddress, ...]) -> int:
-        key = tuple((a.version, a.value) for a in addresses)
-        ref = table_index.get(key)
-        if ref is None:
-            ref = len(table)
-            table_index[key] = ref
-            table.append([list(pair) for pair in key])
-        return ref
-
-    rows: list = []
-    for row in snapshot.rows:
-        root = snapshot.find(row.rid)
-        rid = roster_index.get(root)
-        if rid is None:
-            rid = len(rosters)
-            roster_index[root] = rid
+    for rid in dict.fromkeys(rows.rids):
+        root = snapshot.find(rid)
+        position = roster_index.get(root)
+        if position is None:
+            position = roster_index[root] = len(rosters)
             rosters.append(
-                sorted(
-                    [a.version, a.value] for a in snapshot.rosters[root]
-                )
+                sorted([a.version, a.value] for a in snapshot.rosters[root])
             )
-        rows.append(
-            [
-                row.value,
-                row.scope,
-                window_ref(row.addresses),
-                row.asn,
-                rid,
-                row.refreshed,
-                row.changed,
-                row.weight,
-            ]
+        roster_of[rid] = position
+    asn_of = [entry[1] for entry in windows.entries].__getitem__
+    table_of = table_ref.__getitem__
+    encoded_rows = list(
+        map(
+            list,
+            zip(
+                rows.values,
+                rows.scopes,
+                map(table_of, rows.refs),
+                map(asn_of, rows.refs),
+                map(roster_of.__getitem__, rows.rids),
+                rows.refreshed,
+                rows.changed,
+                rows.weights,
+            ),
         )
-    sparse = [
-        [row.value, row.scope, window_ref(row.addresses), row.asn]
-        for row in snapshot.sparse_rows
-    ]
+    )
+    encoded_sparse = list(
+        map(
+            list,
+            zip(
+                sparse.values,
+                sparse.scopes,
+                map(table_of, sparse.refs),
+                map(asn_of, sparse.refs),
+            ),
+        )
+    )
     return {
         "domain": snapshot.domain,
         "source_len": snapshot.source_len,
@@ -315,8 +548,8 @@ def encode_snapshot(snapshot: DomainSnapshot) -> dict:
         "spans": [list(span) for span in snapshot.spans],
         "gaps": [list(gap) for gap in snapshot.gaps],
         "table": table,
-        "rows": rows,
-        "sparse": sparse,
+        "rows": encoded_rows,
+        "sparse": encoded_sparse,
         "rosters": rosters,
         "sparse_positions": snapshot.sparse_positions,
         "window_max": snapshot.window_max,
@@ -336,9 +569,10 @@ def decode_snapshot(data: dict) -> DomainSnapshot:
         sparse_positions=data["sparse_positions"],
         window_max=data["window_max"],
     )
+    pairs_of = [tuple(map(tuple, pairs)) for pairs in data["table"]]
     windows = [
         tuple(IPAddress(version, value) for version, value in pairs)
-        for pairs in data["table"]
+        for pairs in pairs_of
     ]
     for pairs in data["rosters"]:
         rid = len(snapshot.rosters)
@@ -347,24 +581,36 @@ def decode_snapshot(data: dict) -> DomainSnapshot:
         snapshot.parent.append(rid)
         for address in roster:
             snapshot.addr_rid[address] = rid
-    snapshot.rows = [
-        BlockRow(
-            value=value,
-            scope=scope,
-            addresses=windows[ref],
-            asn=asn,
-            rid=rid,
-            refreshed=refreshed,
-            changed=changed,
-            weight=weight,
-            key=_row_key(domain, value),
+    intern = snapshot.windows.intern
+
+    def window_refs(table_refs, asns) -> array:
+        keys = list(zip(table_refs, asns))
+        ref_of = {
+            (ref, asn): intern(windows[ref], asn, pairs_of[ref])
+            for ref, asn in dict.fromkeys(keys)
+        }
+        return array("I", map(ref_of.__getitem__, keys))
+
+    rows = data["rows"]
+    if rows:
+        values, scopes, refs, asns, rids, refreshed, changed, weights = zip(*rows)
+        snapshot.rows = BlockColumns(
+            array("I", values),
+            array("B", scopes),
+            window_refs(refs, asns),
+            array("I", rids),
+            array("i", refreshed),
+            array("i", changed),
+            array("i", weights),
+            array("Q", [_row_key(domain, value) for value in values]),
         )
-        for value, scope, ref, asn, rid, refreshed, changed, weight in data["rows"]
-    ]
-    snapshot.sparse_rows = [
-        SparseRow(value=value, scope=scope, addresses=windows[ref], asn=asn)
-        for value, scope, ref, asn in data["sparse"]
-    ]
+    sparse = data["sparse"]
+    if sparse:
+        values, scopes, refs, asns = zip(*sparse)
+        snapshot.sparse_rows = SparseColumns(
+            array("I", values), array("B", scopes), window_refs(refs, asns)
+        )
+    snapshot.compact()
     return snapshot
 
 
@@ -479,8 +725,6 @@ class DeltaRound:
     new_blocks: int = 0
     removed_blocks: int = 0
     events: list[ChangeEvent] = field(default_factory=list)
-    #: Accumulated per-domain state, as full-scan-shaped results.
-    results: dict[str, EcsScanResult] = field(default_factory=dict)
 
     @property
     def queries_frac(self) -> float:
@@ -532,6 +776,13 @@ class DeltaScanEngine:
         self.telemetry = telemetry
         self.snapshots: dict[str, DomainSnapshot] = {}
         self.rounds: list[DeltaRound] = []
+        #: Subnet intern table per source length, shared by every
+        #: accumulated view (materialised responses reuse the Prefixes).
+        self._prefixes: dict[int, dict[int, Prefix]] = {}
+        #: Per domain, the sparse rows object last materialised and its
+        #: responses.  Sparse rows change only with routing, and every
+        #: change installs a new object, so identity keys the cache.
+        self._sparse_views: dict[str, tuple[SparseColumns, list[EcsResponse]]] = {}
         #: Optional live monitoring plane (repro.monitor): a StatusBoard
         #: receiving coarse per-round publishes and an EventLog receiving
         #: round_summary / churn_detected / budget_deferral records.
@@ -548,6 +799,10 @@ class DeltaScanEngine:
 
     def seed(self, domain: str) -> EcsScanResult:
         """Full scan of one domain, remembered as the baseline snapshot."""
+        with _gc_paused():
+            return self._seed(domain)
+
+    def _seed(self, domain: str) -> EcsScanResult:
         result = self.executor.scan(domain)
         spans, gaps = self.scanner.routed_ranges()
         snapshot = DomainSnapshot(
@@ -559,43 +814,31 @@ class DeltaScanEngine:
             gaps=[tuple(gap) for gap in gaps],
             sparse_positions=result.sparse_queries,
         )
-        rid_cache: dict[int, int] = {}
-        for response in result.responses:
-            addresses = response.addresses
-            if len(addresses) > snapshot.window_max:
-                snapshot.window_max = len(addresses)
-            rid = rid_cache.get(id(addresses))
-            if rid is None:
-                rid = snapshot.absorb(addresses)
-                rid_cache[id(addresses)] = rid
-            value = response.subnet.value
-            snapshot.rows.append(
-                BlockRow(
-                    value=value,
-                    scope=response.scope,
-                    addresses=addresses,
-                    asn=response.answer_asn,
-                    rid=rid,
-                    refreshed=-1,
-                    changed=-1,
-                    weight=0,
-                    key=_row_key(domain, value),
-                )
-            )
-        snapshot.rows.sort(key=lambda row: row.value)
-        snapshot.sparse_rows = [
-            SparseRow(
-                value=response.subnet.value,
-                scope=response.scope,
-                addresses=response.addresses,
-                asn=response.answer_asn,
-            )
-            for response in result.sparse_responses
-        ]
-        snapshot.sparse_rows.sort(key=lambda row: row.value)
-        for row in snapshot.sparse_rows:
-            if len(row.addresses) > snapshot.window_max:
-                snapshot.window_max = len(row.addresses)
+        values, scopes, refs = snapshot.intake(result)
+        entries = snapshot.windows.entries
+        # Absorb each distinct window once, in scan order (a repeat
+        # absorb is a no-op).  Sparse windows join no roster.
+        rid_of = {ref: snapshot.absorb(entries[ref][0]) for ref in dict.fromkeys(refs)}
+        n = len(values)
+        snapshot.rows = BlockColumns(
+            values,
+            scopes,
+            refs,
+            array("I", map(rid_of.__getitem__, refs)),
+            array("i", [-1]) * n,
+            array("i", [-1]) * n,
+            array("i", [0]) * n,
+            array("Q", [_row_key(domain, value) for value in values]),
+        ).sorted_by_value()
+        snapshot.sparse_rows = snapshot.intake_sparse(result.sparse_responses)
+        snapshot.window_max = max(
+            (
+                len(entries[ref][0])
+                for ref in chain(rid_of, set(snapshot.sparse_rows.refs))
+            ),
+            default=0,
+        )
+        snapshot.compact()
         self.snapshots[domain] = snapshot
         if self.store is not None:
             self._persist_snapshot(snapshot)
@@ -646,6 +889,10 @@ class DeltaScanEngine:
 
     def run_round(self) -> DeltaRound:
         """One monitoring round across all domains under the budget."""
+        with _gc_paused():
+            return self._run_round()
+
+    def _run_round(self) -> DeltaRound:
         for domain in self.domains:
             if domain not in self.snapshots:
                 raise ValueError(
@@ -795,16 +1042,16 @@ class DeltaScanEngine:
         fresh_gaps = [gap for gap in gaps if gap not in old_gaps]
         stable_gaps = [gap for gap in gaps if gap in old_gaps]
 
-        rows = self._rows_in_ranges(snapshot.rows, stable_spans)
+        rows = snapshot.rows.within(stable_spans)
         removed_by_routing = len(snapshot.rows) - len(rows)
-        kept_sparse = self._sparse_in_ranges(snapshot.sparse_rows, stable_gaps)
+        kept_sparse = snapshot.sparse_rows.within(stable_gaps)
         dropped_sparse = len(snapshot.sparse_rows) - len(kept_sparse)
 
         selected = self._select(
             rows, index, period, primary, hot_ranges, budget_state, rnd
         )
 
-        ranges = self._coverage_ranges(rows, sorted(selected), stable_spans)
+        ranges = self._coverage_ranges(rows.values, sorted(selected), stable_spans)
         ranges.extend(fresh_spans)
         if not ranges and not fresh_gaps:
             # Nothing due this round (budget exhausted or quiet wheel
@@ -814,8 +1061,8 @@ class DeltaScanEngine:
             snapshot.spans = spans
             snapshot.gaps = gaps
             snapshot.sparse_positions -= dropped_sparse
+            snapshot.compact()
             rnd.removed_blocks += removed_by_routing
-            rnd.results[domain] = self._accumulated(snapshot, rnd.started_at)
             self._record_domain(domain, 0, removed_by_routing, 0)
             return
 
@@ -828,25 +1075,20 @@ class DeltaScanEngine:
             # actual cost (descent into changed blocks, sparse probes).
             budget_state["left"] = before - result.queries_sent
 
-        out_rows, events, stats = self._fold(
-            snapshot, rows, merge_ranges(ranges), result.responses, index
+        events, stats = self._fold(
+            snapshot, rows, merge_ranges(ranges), snapshot.intake(result), index
         )
-        snapshot.rows = out_rows
         snapshot.spans = spans
         snapshot.gaps = gaps
-        new_sparse = [
-            SparseRow(
-                value=response.subnet.value,
-                scope=response.scope,
-                addresses=response.addresses,
-                asn=response.answer_asn,
-            )
-            for response in result.sparse_responses
-        ]
-        snapshot.sparse_rows = sorted(
-            kept_sparse + new_sparse, key=lambda row: row.value
-        )
+        snapshot.sparse_rows = kept_sparse
+        if result.sparse_responses:
+            new_sparse = snapshot.intake_sparse(result.sparse_responses)
+            merged_sparse = SparseColumns()
+            merged_sparse.extend_from(kept_sparse, 0, len(kept_sparse))
+            merged_sparse.extend_from(new_sparse, 0, len(new_sparse))
+            snapshot.sparse_rows = merged_sparse.sorted_by_value()
         snapshot.sparse_positions += result.sparse_queries - dropped_sparse
+        snapshot.compact()
 
         rnd.events.extend(events)
         rnd.refreshed_blocks += stats["refreshed"]
@@ -855,7 +1097,6 @@ class DeltaScanEngine:
         rnd.removed_blocks += stats["removed"] + removed_by_routing
         if primary:
             hot_ranges.extend(stats["hot_ranges"])
-        rnd.results[domain] = self._accumulated(snapshot, rnd.started_at)
         self._record_domain(
             domain,
             stats["refreshed"],
@@ -866,38 +1107,9 @@ class DeltaScanEngine:
 
     # -- planning helpers ------------------------------------------------
 
-    @staticmethod
-    def _rows_in_ranges(
-        rows: list[BlockRow], ranges: list[tuple[int, int]]
-    ) -> list[BlockRow]:
-        """Rows whose block start lies inside one of the sorted ranges."""
-        out: list[BlockRow] = []
-        bounds = sorted(ranges)
-        position = 0
-        for row in rows:
-            while position < len(bounds) and bounds[position][1] < row.value:
-                position += 1
-            if position < len(bounds) and bounds[position][0] <= row.value:
-                out.append(row)
-        return out
-
-    @staticmethod
-    def _sparse_in_ranges(
-        rows: list[SparseRow], ranges: list[tuple[int, int]]
-    ) -> list[SparseRow]:
-        out: list[SparseRow] = []
-        bounds = sorted(ranges)
-        position = 0
-        for row in rows:
-            while position < len(bounds) and bounds[position][1] < row.value:
-                position += 1
-            if position < len(bounds) and bounds[position][0] <= row.value:
-                out.append(row)
-        return out
-
     def _select(
         self,
-        rows: list[BlockRow],
+        rows: BlockColumns,
         index: int,
         period: int,
         primary: bool,
@@ -915,45 +1127,44 @@ class DeltaScanEngine:
         rows every following round until they are probed.
         """
         selected: set[int] = set()
+        left = budget_state["left"]
+        values = rows.values
         if not primary and hot_ranges:
-            bounds = merge_ranges(hot_ranges)
-            position = 0
-            for i, row in enumerate(rows):
-                while position < len(bounds) and bounds[position][1] < row.value:
-                    position += 1
-                if position < len(bounds) and bounds[position][0] <= row.value:
-                    selected.add(i)
-                    if budget_state["left"] is not None:
-                        budget_state["left"] -= 1
+            for start, end in merge_ranges(hot_ranges):
+                first = bisect_left(values, start)
+                stop = bisect_right(values, end)
+                selected.update(range(first, stop))
+                if left is not None:
+                    left -= stop - first
+        weights, keys, refreshed = rows.weights, rows.keys, rows.refreshed
         hot = [
-            i
-            for i, row in enumerate(rows)
-            if i not in selected and row.weight > 0
+            i for i, weight in enumerate(weights) if weight > 0 and i not in selected
         ]
-        hot.sort(key=lambda i: (-rows[i].weight, rows[i].key))
+        phase = index % period
         due = [
             i
-            for i, row in enumerate(rows)
-            if i not in selected
-            and row.weight <= 0
-            and (
-                rows[i].key % period == index % period
-                or index - rows[i].refreshed >= period
-            )
+            for i, (weight, key, last) in enumerate(zip(weights, keys, refreshed))
+            if weight <= 0
+            and (key % period == phase or index - last >= period)
+            and i not in selected
         ]
-        due.sort(key=lambda i: (rows[i].refreshed, rows[i].key))
-        for i in hot + due:
-            if budget_state["left"] is not None and budget_state["left"] <= 0:
-                rnd.budget_deferred += 1
-                continue
-            selected.add(i)
-            if budget_state["left"] is not None:
-                budget_state["left"] -= 1
+        if left is None:
+            selected.update(hot)
+            selected.update(due)
+        else:
+            hot.sort(key=lambda i: (-weights[i], keys[i]))
+            due.sort(key=lambda i: (refreshed[i], keys[i]))
+            queue = hot + due
+            take = max(0, min(left, len(queue)))
+            selected.update(queue[:take])
+            rnd.budget_deferred += len(queue) - take
+            left -= take
+        budget_state["left"] = left
         return selected
 
     @staticmethod
     def _coverage_ranges(
-        rows: list[BlockRow],
+        values: array,
         indices: list[int],
         spans: list[tuple[int, int]],
     ) -> list[tuple[int, int]]:
@@ -965,15 +1176,16 @@ class DeltaScanEngine:
         out: list[tuple[int, int]] = []
         bounds = sorted(spans)
         position = 0
+        last = len(values) - 1
         for i in indices:
-            row = rows[i]
-            while position < len(bounds) and bounds[position][1] < row.value:
+            value = values[i]
+            while position < len(bounds) and bounds[position][1] < value:
                 position += 1
             span_end = bounds[position][1]
-            if i + 1 < len(rows) and rows[i + 1].value <= span_end:
-                out.append((row.value, rows[i + 1].value - 1))
+            if i < last and values[i + 1] <= span_end:
+                out.append((value, values[i + 1] - 1))
             else:
-                out.append((row.value, span_end))
+                out.append((value, span_end))
         return out
 
     # -- folding ---------------------------------------------------------
@@ -981,194 +1193,238 @@ class DeltaScanEngine:
     def _fold(
         self,
         snapshot: DomainSnapshot,
-        rows: list[BlockRow],
+        rows: BlockColumns,
         scanned: list[tuple[int, int]],
-        responses: list[EcsResponse],
+        fresh: tuple[array, array, array],
         index: int,
-    ) -> tuple[list[BlockRow], list[ChangeEvent], dict]:
+    ) -> tuple[list[ChangeEvent], dict]:
         """Merge one round's scanned ranges back into the remembered rows.
 
-        Walks remembered rows and scanned ranges in address order.  Rows
-        outside every scanned range carry over; rows inside are replaced
-        by the fresh answers and classified against their predecessors.
-        A fresh answer whose scope extends *past* its scanned range (a
-        withdrawn unit reverting to the coarse fallback answer) swallows
-        the remembered rows under the extension — and any later scanned
-        range that now lies inside a scope skip, whose answers a full
-        scan would never produce.  Scopes are >= /16 and blocks never
-        cross a /16 boundary in this world, so swallowed rows are always
-        swallowed whole.
+        ``fresh`` is the round's routed answers as ``(values, scopes,
+        refs)`` columns (see :meth:`DomainSnapshot.intake`).  Walks the
+        remembered rows and the scanned ranges in address order over a
+        copy of the columns: rows outside every scanned range carry over
+        untouched, rows inside are replaced by the fresh answers and
+        classified against their predecessors.  A fresh answer whose
+        scope extends *past* its scanned range (a withdrawn unit
+        reverting to the coarse fallback answer) swallows the remembered
+        rows under the extension — and any later scanned range that now
+        lies inside a scope skip, whose answers a full scan would never
+        produce.  Scopes are >= /16 and blocks never cross a /16
+        boundary in this world, so swallowed rows are always swallowed
+        whole.  Installs the folded rows as ``snapshot.rows``.
         """
         domain = snapshot.domain
-        out: list[BlockRow] = []
+        values, refreshed = rows.values, rows.refreshed
+        fresh_values, fresh_scopes = fresh[0], fresh[1]
+        out = BlockColumns(*(column[:] for column in rows.columns()))
         events: list[ChangeEvent] = []
         hot_local: list[tuple[int, int]] = []
         stats: dict = {"refreshed": 0, "changed": 0, "new": 0, "removed": 0}
         span_ends = {start: end for start, end in snapshot.spans}
         span_bounds = sorted(snapshot.spans)
+        # Roster id per window, absorbed once per fold (a repeat absorb
+        # is a no-op, so reusing the id changes nothing).
+        absorbed: dict[int, int] = {}
+        # Output row index minus remembered row index: moves only when a
+        # range's row count changes or rows are swallowed.
+        shift = 0
+
+        def drop(start: int, stop: int, emit: bool) -> None:
+            nonlocal shift
+            if start >= stop:
+                return
+            if emit:
+                for i in range(start, stop):
+                    events.append(
+                        ChangeEvent(
+                            domain,
+                            values[i],
+                            rows.scopes[i],
+                            "removed",
+                            index,
+                            index - refreshed[i],
+                        )
+                    )
+            stats["removed"] += stop - start
+            for column in out.columns():
+                del column[start + shift : stop + shift]
+            shift -= stop - start
+
         oi = 0
         ri = 0
         swallow_until = -1
         for rs, re_ in scanned:
-            while oi < len(rows) and rows[oi].value < rs:
-                old = rows[oi]
-                oi += 1
-                if old.value <= swallow_until:
-                    stats["removed"] += 1
-                    events.append(
-                        ChangeEvent(
-                            domain,
-                            old.value,
-                            old.scope,
-                            "removed",
-                            index,
-                            index - old.refreshed,
-                        )
-                    )
-                    continue
-                out.append(old)
+            stop = bisect_left(values, rs, oi)
+            drop(oi, bisect_right(values, swallow_until, oi, stop), True)
+            oi = stop
             if rs <= swallow_until:
-                while ri < len(responses) and responses[ri].subnet.value <= re_:
-                    ri += 1
-                while oi < len(rows) and rows[oi].value <= re_:
-                    stats["removed"] += 1
-                    oi += 1
+                ri = bisect_right(fresh_values, re_, ri)
+                stop = bisect_right(values, re_, oi)
+                drop(oi, stop, False)
+                oi = stop
                 continue
-            range_new: list[EcsResponse] = []
-            while ri < len(responses) and responses[ri].subnet.value <= re_:
-                range_new.append(responses[ri])
-                ri += 1
-            range_old: list[BlockRow] = []
-            while oi < len(rows) and rows[oi].value <= re_:
-                range_old.append(rows[oi])
-                oi += 1
-            base_refreshed = min(
-                (old.refreshed for old in range_old), default=index
+            new_stop = bisect_right(fresh_values, re_, ri)
+            old_stop = bisect_right(values, re_, oi)
+            range_hot, shift = self._fold_range(
+                snapshot,
+                rows,
+                (oi, old_stop),
+                fresh,
+                (ri, new_stop),
+                index,
+                stats,
+                out,
+                shift,
+                events,
+                absorbed,
             )
-            fresh_rows, range_events, range_hot = self._fold_range(
-                snapshot, range_old, range_new, index, base_refreshed, stats
-            )
-            out.extend(fresh_rows)
-            events.extend(range_events)
-            if range_hot and range_new:
-                hot_local.append((rs, re_))
-            if range_new:
-                last = range_new[-1]
-                ext = last.subnet.value
-                if last.scope < 32:
-                    ext |= (1 << (32 - last.scope)) - 1
-                span_end = self._span_end_at(span_bounds, span_ends, rs)
-                eff_end = min(ext, span_end)
-                if eff_end > re_:
-                    swallow_until = eff_end
-                    if range_hot:
-                        hot_local[-1] = (rs, eff_end)
-                    while oi < len(rows) and rows[oi].value <= eff_end:
-                        old = rows[oi]
-                        oi += 1
-                        stats["removed"] += 1
-                        events.append(
-                            ChangeEvent(
-                                domain,
-                                old.value,
-                                old.scope,
-                                "removed",
-                                index,
-                                index - old.refreshed,
-                            )
-                        )
-        while oi < len(rows):
-            old = rows[oi]
-            oi += 1
-            if old.value <= swallow_until:
-                stats["removed"] += 1
-                continue
-            out.append(old)
+            oi = old_stop
+            if new_stop > ri:
+                if range_hot:
+                    hot_local.append((rs, re_))
+                ext = fresh_values[new_stop - 1]
+                scope = fresh_scopes[new_stop - 1]
+                if scope < 32:
+                    ext |= (1 << (32 - scope)) - 1
+                if ext > re_:
+                    eff_end = min(
+                        ext, self._span_end_at(span_bounds, span_ends, rs)
+                    )
+                    if eff_end > re_:
+                        swallow_until = eff_end
+                        if range_hot:
+                            hot_local[-1] = (rs, eff_end)
+                        stop = bisect_right(values, eff_end, oi)
+                        drop(oi, stop, True)
+                        oi = stop
+            ri = new_stop
+        drop(oi, bisect_right(values, swallow_until, oi), False)
         stats["hot_ranges"] = hot_local
-        return out, events, stats
+        snapshot.rows = out
+        return events, stats
 
     def _fold_range(
         self,
         snapshot: DomainSnapshot,
-        range_old: list[BlockRow],
-        range_new: list[EcsResponse],
+        rows: BlockColumns,
+        old_range: tuple[int, int],
+        fresh: tuple[array, array, array],
+        new_range: tuple[int, int],
         index: int,
-        base_refreshed: int,
         stats: dict,
-    ) -> tuple[list[BlockRow], list[ChangeEvent], bool]:
-        """Classify one scanned range's fresh answers against its rows."""
+        out: BlockColumns,
+        shift: int,
+        events: list[ChangeEvent],
+        absorbed: dict[int, int],
+    ) -> tuple[bool, int]:
+        """Classify one scanned range's fresh answers against its rows.
+
+        Writes the range's folded rows into ``out`` (whose rows sit
+        ``shift`` places from the remembered ones) and its events to
+        ``events``.  A range answering at exactly its remembered block
+        starts — every quiet round — is rewritten in place; any other
+        is spliced.  Returns whether anything in the range changed, and
+        the shift after it.
+        """
         domain = snapshot.domain
         refresh = self.refresh_rounds
-        old_by_value = {old.value: old for old in range_old}
-        matched: set[int] = set()
-        fresh_rows: list[BlockRow] = []
-        events: list[ChangeEvent] = []
+        entries = snapshot.windows.entries
+        values = rows.values
+        fresh_values, fresh_scopes, fresh_refs = fresh
+        old_start, old_stop = old_range
+        new_start, new_stop = new_range
+        in_place = (
+            old_stop - old_start == new_stop - new_start
+            and values[old_start:old_stop] == fresh_values[new_start:new_stop]
+        )
+        if not in_place:
+            spliced: tuple[list, ...] = tuple([] for _ in BlockColumns.NAMES)
+        unmatched: list[int] = []
         hot = False
-        for response in range_new:
-            value = response.subnet.value
-            addresses = response.addresses
-            if len(addresses) > snapshot.window_max:
-                snapshot.window_max = len(addresses)
-            old = old_by_value.get(value)
+        j = old_start
+        for p in range(new_start, new_stop):
+            value = fresh_values[p]
+            scope = fresh_scopes[p]
+            ref = fresh_refs[p]
+            length = len(entries[ref][0])
+            if length > snapshot.window_max:
+                snapshot.window_max = length
+            while j < old_stop and values[j] < value:
+                unmatched.append(j)
+                j += 1
             event_kind = None
-            if old is None:
-                event_kind = "structure"
-                latency = index - base_refreshed
-                stats["new"] += 1
-            else:
-                matched.add(value)
+            if j < old_stop and values[j] == value:
+                i = j
+                j += 1
                 stats["refreshed"] += 1
-                latency = index - old.refreshed
-                if old.scope != response.scope or old.asn != response.answer_asn:
+                latency = index - rows.refreshed[i]
+                old_ref = rows.refs[i]
+                if (
+                    rows.scopes[i] != scope
+                    or entries[old_ref][1] != entries[ref][1]
+                ):
                     event_kind = "structure"
-                else:
-                    verdict = snapshot.classify(old, addresses)
-                    if verdict == "moved":
-                        event_kind = "answers"
+                elif snapshot.classify(old_ref, rows.rids[i], ref) == "moved":
+                    event_kind = "answers"
                 if event_kind is not None:
                     stats["changed"] += 1
-            rid = snapshot.absorb(addresses)
-            if event_kind is not None:
+            else:
+                i = None
+                event_kind = "structure"
+                # A new block is as stale as the range's stalest row.
+                latency = index - min(
+                    rows.refreshed[old_start:old_stop], default=index
+                )
+                stats["new"] += 1
+            rid = absorbed.get(ref)
+            if rid is None:
+                rid = absorbed[ref] = snapshot.absorb(entries[ref][0])
+            if event_kind is None:
+                changed = rows.changed[i]
+                weight = max(rows.weights[i] - 1, 0)
+            else:
                 events.append(
-                    ChangeEvent(
-                        domain,
-                        value,
-                        response.scope,
-                        event_kind,
-                        index,
-                        latency,
-                    )
+                    ChangeEvent(domain, value, scope, event_kind, index, latency)
                 )
                 hot = True
-            quiet = event_kind is None and old is not None
-            fresh_rows.append(
-                BlockRow(
-                    value=value,
-                    scope=response.scope,
-                    addresses=addresses,
-                    asn=response.answer_asn,
-                    rid=rid,
-                    refreshed=index,
-                    changed=old.changed if quiet else index,
-                    weight=max(old.weight - 1, 0) if quiet else refresh,
-                    key=_row_key(domain, value),
+                changed = index
+                weight = refresh
+            if in_place:
+                at = i + shift
+                out.scopes[at] = scope
+                out.refs[at] = ref
+                out.rids[at] = rid
+                out.refreshed[at] = index
+                out.changed[at] = changed
+                out.weights[at] = weight
+            else:
+                key = _row_key(domain, value) if i is None else rows.keys[i]
+                for column, item in zip(
+                    spliced,
+                    (value, scope, ref, rid, index, changed, weight, key),
+                ):
+                    column.append(item)
+        unmatched.extend(range(j, old_stop))
+        for i in unmatched:
+            stats["removed"] += 1
+            events.append(
+                ChangeEvent(
+                    domain,
+                    values[i],
+                    rows.scopes[i],
+                    "removed",
+                    index,
+                    index - rows.refreshed[i],
                 )
             )
-        for old in range_old:
-            if old.value not in matched:
-                stats["removed"] += 1
-                events.append(
-                    ChangeEvent(
-                        domain,
-                        old.value,
-                        old.scope,
-                        "removed",
-                        index,
-                        index - old.refreshed,
-                    )
-                )
-                hot = True
-        return fresh_rows, events, hot
+            hot = True
+        if not in_place:
+            start, stop = old_start + shift, old_stop + shift
+            for column, items in zip(out.columns(), spliced):
+                column[start:stop] = array(column.typecode, items)
+            shift += (new_stop - new_start) - (old_stop - old_start)
+        return hot, shift
 
     @staticmethod
     def _span_end_at(
@@ -1198,32 +1454,41 @@ class DeltaScanEngine:
         return (windows are drawn from whichever round last refreshed
         each block, but rotation saturates each supplier's roster, so
         the aggregate address views match a fresh full scan — the
-        equivalence the delta suite asserts).
+        equivalence the delta suite asserts).  The routed answers are a
+        columnar view over the snapshot's own columns (shared, never
+        copied: rounds replace columns instead of writing them) and the
+        routed prefix of its window table.
         """
+        rows, sparse = snapshot.rows, snapshot.sparse_rows
         source_len = snapshot.source_len
-        prefixes: dict[int, Prefix] = {}
-
-        def subnet(value: int) -> Prefix:
-            prefix = prefixes.get(value)
-            if prefix is None:
-                prefix = prefixes[value] = Prefix(4, value, source_len)
-            return prefix
-
-        result = EcsScanResult(
-            domain=snapshot.domain, started_at=started_at
-        )
+        prefixes = self._prefixes.setdefault(source_len, {})
+        entries = snapshot.windows.entries
+        result = EcsScanResult(domain=snapshot.domain, started_at=started_at)
         result.finished_at = self.scanner.clock.now
-        result.queries_sent = len(snapshot.rows) + snapshot.sparse_positions
+        result.queries_sent = len(rows) + snapshot.sparse_positions
         result.sparse_queries = snapshot.sparse_positions
-        result.sparse_answered = len(snapshot.sparse_rows)
-        result.responses = [
-            EcsResponse(subnet(row.value), row.scope, row.addresses, row.asn)
-            for row in snapshot.rows
-        ]
-        result.sparse_responses = [
-            EcsResponse(subnet(row.value), row.scope, row.addresses, row.asn)
-            for row in snapshot.sparse_rows
-        ]
+        result.sparse_answered = len(sparse)
+        columnar = ColumnarResponses(source_len, prefixes=prefixes)
+        if len(rows):
+            columnar.chunks.append(
+                (
+                    rows.values,
+                    rows.scopes,
+                    rows.refs,
+                    entries[: snapshot.routed_windows],
+                )
+            )
+        result.attach_columnar(columnar)
+        cached = self._sparse_views.get(snapshot.domain)
+        if cached is None or cached[0] is not sparse:
+            responses = []
+            for value, scope, ref in zip(sparse.values, sparse.scopes, sparse.refs):
+                subnet = prefixes.get(value)
+                if subnet is None:
+                    subnet = prefixes[value] = Prefix(4, value, source_len)
+                responses.append(EcsResponse(subnet, scope, *entries[ref]))
+            cached = self._sparse_views[snapshot.domain] = (sparse, responses)
+        result.sparse_responses = list(cached[1])
         return result
 
     def accumulated(self, domain: str) -> EcsScanResult:

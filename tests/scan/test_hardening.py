@@ -431,7 +431,8 @@ class TestRoundSkipped:
             }
             # Model a crashed round's half-applied in-memory state.
             victim = engine.domains[0]
-            engine.snapshots[victim].rows.pop()
+            rows = engine.snapshots[victim].rows
+            engine.snapshots[victim].rows = rows.take([(0, len(rows) - 1)])
             engine.snapshots[victim].round += 7
             engine.reseed_from_store()
             restored = {

@@ -20,14 +20,18 @@ carve-out as the sharded-equivalence suite).
 """
 
 import json
+import zlib
+from pathlib import Path
 
 import pytest
 
 from repro.errors import CheckpointError
 from repro.relay.service import RELAY_DOMAIN_FALLBACK, RELAY_DOMAIN_QUIC
 from repro.scan.campaign import ScanCampaign
+from repro.scan.checkpoint import payload_crc
 from repro.scan.ecs_scanner import EcsScanner, EcsScanSettings
 from repro.scan.incremental import (
+    SNAPSHOT_VERSION,
     DeltaScanEngine,
     SnapshotStore,
     decode_snapshot,
@@ -64,6 +68,30 @@ def _close(executor):
         executor.close()
 
 
+def _block_rows(snapshot):
+    """Per-row ``(value, scope, addresses, asn, refreshed, changed,
+    weight, key)`` tuples, read from the snapshot's columns."""
+    entries = snapshot.windows.entries
+    rows = snapshot.rows
+    return [
+        (value, scope, *entries[ref], refreshed, changed, weight, key)
+        for value, scope, ref, refreshed, changed, weight, key in zip(
+            rows.values, rows.scopes, rows.refs, rows.refreshed,
+            rows.changed, rows.weights, rows.keys,
+        )
+    ]
+
+
+def _sparse_rows(snapshot):
+    """Per-row ``(value, scope, addresses, asn)`` sparse tuples."""
+    entries = snapshot.windows.entries
+    sparse = snapshot.sparse_rows
+    return [
+        (value, scope, *entries[ref])
+        for value, scope, ref in zip(sparse.values, sparse.scopes, sparse.refs)
+    ]
+
+
 class TestSteadyState:
     @pytest.fixture(scope="class")
     def steady(self):
@@ -88,13 +116,15 @@ class TestSteadyState:
         _, engine, _ = steady
         snapshot = engine.snapshots[RELAY_DOMAIN_QUIC]
         # After 6 rounds, no primary row is older than k rounds.
-        assert all(6 - row.refreshed <= 3 for row in snapshot.rows)
+        assert len(snapshot.rows) > 0
+        assert all(6 - refreshed <= 3 for refreshed in snapshot.rows.refreshed)
 
     def test_secondary_wheel_covers_within_stretched_period(self, steady):
         _, engine, _ = steady
         assert engine.period(RELAY_DOMAIN_FALLBACK) == 6
         snapshot = engine.snapshots[RELAY_DOMAIN_FALLBACK]
-        assert all(row.refreshed >= 0 for row in snapshot.rows)
+        assert len(snapshot.rows) > 0
+        assert all(refreshed >= 0 for refreshed in snapshot.rows.refreshed)
 
     def test_accumulated_matches_fresh_full_rescan(self, steady):
         world, engine, _ = steady
@@ -166,9 +196,9 @@ class TestBudget:
             # Deferred rows re-arm via the age rule: every row still
             # gets refreshed eventually, just on a longer horizon.
             snapshot = engine.snapshots[RELAY_DOMAIN_QUIC]
-            refreshed = sum(1 for row in snapshot.rows if row.refreshed >= 0)
+            refreshed = sum(1 for last in snapshot.rows.refreshed if last >= 0)
             assert refreshed > 0
-            latest = max(row.refreshed for row in snapshot.rows)
+            latest = max(snapshot.rows.refreshed)
             assert latest >= 10
         finally:
             _close(executor)
@@ -254,22 +284,15 @@ class TestSnapshotStore:
             assert restored.spans == snapshot.spans
             assert restored.gaps == snapshot.gaps
             assert restored.sparse_positions == snapshot.sparse_positions
-            assert [
-                (r.value, r.scope, r.addresses, r.asn, r.refreshed, r.changed,
-                 r.weight, r.key)
-                for r in restored.rows
-            ] == [
-                (r.value, r.scope, r.addresses, r.asn, r.refreshed, r.changed,
-                 r.weight, r.key)
-                for r in snapshot.rows
-            ]
-            assert restored.sparse_rows == snapshot.sparse_rows
+            assert _block_rows(restored) == _block_rows(snapshot)
+            assert _sparse_rows(restored) == _sparse_rows(snapshot)
             # Roster compaction is merge-history independent: each row's
             # reachable roster survives the trip.
-            for old, new in zip(snapshot.rows, restored.rows):
+            assert len(restored.rows.rids) == len(snapshot.rows.rids) > 0
+            for old, new in zip(snapshot.rows.rids, restored.rows.rids):
                 assert (
-                    restored.rosters[restored.find(new.rid)]
-                    == snapshot.rosters[snapshot.find(old.rid)]
+                    restored.rosters[restored.find(new)]
+                    == snapshot.rosters[snapshot.find(old)]
                 )
 
     def test_store_restores_saved_state(self, seeded):
@@ -368,3 +391,150 @@ class TestCampaignMode:
             assert len(campaign.fallback_archive) > 0
             # Seed scan + one record per round.
             assert campaign.default_archive.scan_count() == 3
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _pinned_engine(seed, budget=None):
+    """The pinned-accounting setup: a scale-0.02 world, sequential."""
+    world = build_world(WorldConfig.small(seed=seed))
+    world.clock.advance_to(scan_time(2022, 1))
+    scanner = EcsScanner(
+        world.route53, world.routing, world.clock,
+        EcsScanSettings(campaign_seed=seed),
+    )
+    return world, DeltaScanEngine(scanner, budget=budget, refresh_rounds=3)
+
+
+def _round_record(rnd):
+    return {
+        "index": rnd.index,
+        "queries_sent": rnd.queries_sent,
+        "sparse_queries": rnd.sparse_queries,
+        "budget_deferred": rnd.budget_deferred,
+        "full_cost": rnd.full_cost,
+        "refreshed_blocks": rnd.refreshed_blocks,
+        "changed_blocks": rnd.changed_blocks,
+        "new_blocks": rnd.new_blocks,
+        "removed_blocks": rnd.removed_blocks,
+        "events": [
+            [e.domain, e.value, e.scope, e.kind, e.round, e.latency]
+            for e in rnd.events
+        ],
+    }
+
+
+def _state_crc(snapshot):
+    return zlib.crc32(
+        json.dumps(
+            encode_snapshot(snapshot), sort_keys=True, separators=(",", ":")
+        ).encode()
+    )
+
+
+PINNED = json.loads((DATA / "round_accounting.json").read_text())
+
+
+class TestPinnedRoundAccounting:
+    """Per-round accounting and final state, pinned from the row-object
+    engine that preceded the columnar one (``data/README.md``).
+
+    Steady rounds, then ``inject_standard``, on two worlds; plus a
+    budgeted run, whose deferral counts pin the priority order and the
+    age rule.  The final snapshot crc pins every row's window, roster,
+    refresh round, change round and weight.
+    """
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_rounds_match_pinned_accounting(self, case):
+        pinned = PINNED[case]
+        world, engine = _pinned_engine(pinned["seed"], pinned["budget"])
+        engine.ensure_seeded()
+        steady = [
+            _round_record(engine.run_round()) for _ in pinned["steady"]
+        ]
+        assert steady == pinned["steady"]
+        churned = []
+        if pinned["churned"]:
+            churn = DeploymentChurn(
+                world.assignment, world.ingress_v4, world.clock.now
+            )
+            records = churn.inject_standard(seed=pinned["seed"])
+            assert sorted(r.block_value for r in records) == pinned["churn_blocks"]
+            churned = [
+                _round_record(engine.run_round()) for _ in pinned["churned"]
+            ]
+        assert churned == pinned["churned"]
+        assert {
+            domain: _state_crc(snapshot)
+            for domain, snapshot in engine.snapshots.items()
+        } == pinned["state_crc"]
+
+
+class TestListResultIntake:
+    """Results that arrive as ``responses`` lists (the message-level
+    reference path) are packed at the door and fold to exactly the
+    state the columnar kernel's results fold to."""
+
+    def test_reference_path_folds_identically(self):
+        states = {}
+        for fast_path in (True, False):
+            world = build_world(WorldConfig.tiny(seed=SEED))
+            world.clock.advance_to(scan_time(2022, 1))
+            scanner = EcsScanner(
+                world.route53, world.routing, world.clock,
+                EcsScanSettings(campaign_seed=SEED, fast_path=fast_path),
+            )
+            engine = DeltaScanEngine(scanner, refresh_rounds=3)
+            seeds = engine.ensure_seeded()
+            assert all(
+                (result.columnar_view() is None) is (not fast_path)
+                for result in seeds.values()
+            )
+            rounds = [_round_record(engine.run_round()) for _ in range(2)]
+            states[fast_path] = (
+                rounds,
+                {
+                    domain: encode_snapshot(snapshot)
+                    for domain, snapshot in engine.snapshots.items()
+                },
+            )
+        assert states[True][0][0]["queries_sent"] > 0
+        assert states[False] == states[True]
+
+
+class TestSnapshotFormatFixture:
+    """Snapshots written by the row-object engine still decode, and
+    re-encode to the identical document and checksum."""
+
+    FILES = sorted((DATA / "snapshots-2022").glob("snapshot-*.json"))
+
+    def test_fixture_files_present(self):
+        assert len(self.FILES) == 2
+
+    @pytest.mark.parametrize("path", FILES, ids=lambda path: path.name)
+    def test_reencodes_byte_identically(self, path):
+        document = json.loads(path.read_text())
+        assert document["version"] == SNAPSHOT_VERSION == 1
+        snapshot = decode_snapshot(document)
+        assert len(snapshot.rows) == len(document["rows"]) > 0
+        reencoded = {
+            "version": SNAPSHOT_VERSION,
+            "fingerprint": document["fingerprint"],
+            **encode_snapshot(snapshot),
+        }
+        reencoded["crc"] = payload_crc(reencoded)
+        assert reencoded == document
+        # The store writes compact JSON: the same bytes as the file.
+        assert json.dumps(reencoded, separators=(",", ":")) == path.read_text()
+
+    def test_store_resumes_from_fixture(self):
+        store = SnapshotStore(
+            DATA / "snapshots-2022",
+            json.loads(self.FILES[0].read_text())["fingerprint"],
+        )
+        for domain in DOMAINS:
+            snapshot = store.load(domain)
+            assert snapshot is not None
+            assert snapshot.round == 3
