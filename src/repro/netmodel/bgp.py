@@ -100,8 +100,8 @@ class RoutingTable:
             self.origin_stats.hits += 1
             return memo[key]
         self.origin_stats.misses += 1
-        hit = self._trie.lookup(address)
-        ann = hit[1] if hit else None
+        # The announcement carries its own prefix: ask for the value only.
+        ann = self._trie.best_value(address)
         memo[key] = ann
         return ann
 

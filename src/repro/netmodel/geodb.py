@@ -65,8 +65,7 @@ class GeoDatabase:
 
     def lookup(self, address: IPAddress) -> GeoRecord | None:
         """The most specific record covering ``address``, or None."""
-        hit = self._index().lookup(address)
-        return hit[1] if hit else None
+        return self._index().best_value(address)
 
     def lookup_prefix(self, prefix: Prefix) -> GeoRecord | None:
         """The record covering the whole prefix, or None."""

@@ -1,16 +1,17 @@
-"""Longest-prefix-match radix trie over IP prefixes.
+"""Longest-prefix-match index over IP prefixes.
 
 Used for BGP routing-table lookups, geolocation-database lookups, and
-egress-list membership tests.  One trie instance handles a single IP
+egress-list membership tests.  One index instance handles a single IP
 version; :class:`DualStackTrie` bundles one of each.
 
-The implementation is a binary path trie: each level consumes one bit of
-the key.  Nodes live in an array-backed pool (parallel lists of child
-indices and values) instead of one heap object per node — worldgen
-inserts hundreds of thousands of prefixes, and the pool keeps inserts
-allocation-free and walks cache-friendly, while the ECS scan's per-query
-lookups stay pure list indexing.  Inserts are O(prefix length); lookups
-walk at most 32/128 levels and remember the last level carrying a value.
+The index keeps one dict per stored prefix length, keyed by the prefix's
+top ``length`` bits.  A lookup probes the stored lengths longest first
+and stops at the first hit, so it costs one shift and one dict probe per
+distinct length (a generated BGP table holds 14 IPv4 and 3 IPv6
+lengths) instead of one step per address bit.  Inserts and removes are
+a single dict write — worldgen inserts hundreds of thousands of
+prefixes.  :meth:`items` sorts by (left-aligned value, length), which is
+the preorder a binary trie over the same prefixes would walk.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.netmodel.addr import IPAddress, Prefix
 
 V = TypeVar("V")
 
-#: Child-pointer sentinel for "no node".
-_NIL = -1
+#: Dict-probe sentinel: stored values may themselves be None.
+_MISSING = object()
 
 
 class PrefixTrie(Generic[V]):
@@ -34,17 +35,15 @@ class PrefixTrie(Generic[V]):
             raise AddressError(f"IP version must be 4 or 6, got {version}")
         self.version = version
         self._bits = 32 if version == 4 else 128
-        # Node pool: node i's children are _zero[i]/_one[i] (_NIL = absent),
-        # its payload _value[i] (meaningful only when _has[i]).  Node 0 is
-        # the root.  Nodes are never freed; remove() only clears _has.
-        self._zero: list[int] = [_NIL]
-        self._one: list[int] = [_NIL]
-        self._value: list[V | None] = [None]
-        self._has: list[bool] = [False]
-        self._size = 0
+        # length -> {prefix value >> (bits - length): stored value}.  Only
+        # non-empty tables are kept.
+        self._tables: dict[int, dict[int, V]] = {}
+        # (length, shift, table) per stored length, longest first: the
+        # lookup probe order, rebuilt whenever a length appears or empties.
+        self._probes: list[tuple[int, int, dict[int, V]]] = []
 
     def __len__(self) -> int:
-        return self._size
+        return sum(len(table) for table in self._tables.values())
 
     def _check(self, prefix: Prefix) -> None:
         if prefix.version != self.version:
@@ -52,81 +51,62 @@ class PrefixTrie(Generic[V]):
                 f"IPv{prefix.version} prefix in IPv{self.version} trie"
             )
 
-    def _new_node(self) -> int:
-        self._zero.append(_NIL)
-        self._one.append(_NIL)
-        self._value.append(None)
-        self._has.append(False)
-        return len(self._has) - 1
+    def _reprobe(self) -> None:
+        bits = self._bits
+        self._probes = [
+            (length, bits - length, self._tables[length])
+            for length in sorted(self._tables, reverse=True)
+        ]
 
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or replace the value stored at ``prefix``."""
         self._check(prefix)
-        zero, one = self._zero, self._one
-        node = 0
-        top = self._bits - 1
-        for i in range(prefix.length):
-            if (prefix.value >> (top - i)) & 1:
-                child = one[node]
-                if child == _NIL:
-                    child = self._new_node()
-                    one[node] = child
-            else:
-                child = zero[node]
-                if child == _NIL:
-                    child = self._new_node()
-                    zero[node] = child
-            node = child
-        if not self._has[node]:
-            self._size += 1
-        self._value[node] = value
-        self._has[node] = True
-
-    def _find(self, prefix: Prefix) -> int:
-        """Index of the node at ``prefix``, or _NIL."""
-        zero, one = self._zero, self._one
-        node = 0
-        top = self._bits - 1
-        for i in range(prefix.length):
-            node = (one if (prefix.value >> (top - i)) & 1 else zero)[node]
-            if node == _NIL:
-                return _NIL
-        return node
+        length = prefix.length
+        table = self._tables.get(length)
+        if table is None:
+            table = self._tables[length] = {}
+            self._reprobe()
+        table[prefix.value >> (self._bits - length)] = value
 
     def remove(self, prefix: Prefix) -> bool:
         """Remove the exact prefix; returns whether it was present."""
         self._check(prefix)
-        node = self._find(prefix)
-        if node != _NIL and self._has[node]:
-            self._has[node] = False
-            self._value[node] = None
-            self._size -= 1
-            return True
-        return False
+        table = self._tables.get(prefix.length)
+        key = prefix.value >> (self._bits - prefix.length)
+        if table is None or key not in table:
+            return False
+        del table[key]
+        if not table:
+            del self._tables[prefix.length]
+            self._reprobe()
+        return True
 
     def exact(self, prefix: Prefix) -> V | None:
         """The value stored exactly at ``prefix``, or None."""
         self._check(prefix)
-        node = self._find(prefix)
-        if node != _NIL and self._has[node]:
-            return self._value[node]
-        return None
+        table = self._tables.get(prefix.length)
+        if table is None:
+            return None
+        return table.get(prefix.value >> (self._bits - prefix.length))
 
     def _best_match(self, key: int, max_length: int) -> tuple[int, V] | None:
         """Longest stored (length, value) along ``key``'s first ``max_length`` bits."""
-        zero, one, has, value = self._zero, self._one, self._has, self._value
-        best: tuple[int, V] | None = None
-        if has[0]:
-            best = (0, value[0])  # type: ignore[assignment]
-        node = 0
-        top = self._bits - 1
-        for i in range(max_length):
-            node = (one if (key >> (top - i)) & 1 else zero)[node]
-            if node == _NIL:
-                break
-            if has[node]:
-                best = (i + 1, value[node])  # type: ignore[assignment]
-        return best
+        for length, shift, table in self._probes:
+            if length <= max_length:
+                hit = table.get(key >> shift, _MISSING)
+                if hit is not _MISSING:
+                    return length, hit  # type: ignore[return-value]
+        return None
+
+    def best_value(self, address_value: int) -> V | None:
+        """The value of the longest-prefix match for an integer address
+        value, or None — :meth:`lookup_value` without building the
+        matched :class:`Prefix`."""
+        for _length, shift, table in self._probes:
+            hit = table.get(address_value >> shift, _MISSING)
+            if hit is not _MISSING:
+                return hit  # type: ignore[return-value]
+        return None
 
     def lookup_value(self, address_value: int) -> tuple[Prefix, V] | None:
         """Longest-prefix match for an integer address value."""
@@ -160,20 +140,22 @@ class PrefixTrie(Generic[V]):
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         """Iterate all (prefix, value) pairs in preorder."""
-        stack: list[tuple[int, int, int]] = [(0, 0, 0)]
-        top = self._bits
-        zero, one, has = self._zero, self._one, self._has
-        while stack:
-            node, value, length = stack.pop()
-            if has[node]:
-                yield (
-                    Prefix(self.version, value << (top - length), length),
-                    self._value[node],  # type: ignore[misc]
-                )
-            if one[node] != _NIL:
-                stack.append((one[node], (value << 1) | 1, length + 1))
-            if zero[node] != _NIL:
-                stack.append((zero[node], value << 1, length + 1))
+        # Sort one plain int per entry, network << 8 | length, rather than
+        # (network, length) tuples: same order, but no GC-tracked object
+        # per entry, so a full-table walk does not set off collections.
+        order = sorted(
+            (key << shift << 8) | length
+            for length, shift, table in self._probes
+            for key in table
+        )
+        tables, bits, version = self._tables, self._bits, self.version
+        for packed in order:
+            length = packed & 0xFF
+            network = packed >> 8
+            yield (
+                Prefix(version, network, length),
+                tables[length][network >> (bits - length)],
+            )
 
 
 class DualStackTrie(Generic[V]):
@@ -196,6 +178,9 @@ class DualStackTrie(Generic[V]):
 
     def lookup(self, address: IPAddress) -> tuple[Prefix, V] | None:
         return self._tries[address.version].lookup(address)
+
+    def best_value(self, address: IPAddress) -> V | None:
+        return self._tries[address.version].best_value(address.value)
 
     def covering(self, prefix: Prefix) -> tuple[Prefix, V] | None:
         return self._tries[prefix.version].covering(prefix)

@@ -59,12 +59,12 @@ class EgressEntry:
 class EgressList:
     """The parsed egress range list with indexed queries.
 
-    The prefix trie behind the point queries is built lazily on first
+    The prefix index behind the point queries is built lazily on first
     use: worldgen constructs lists of ~100 k entries (twice — the May
     and January snapshots) and many consumers only ever iterate or
-    aggregate them, so paying ~30 bit-levels of trie insert per entry
-    up front would dominate world build time.  Duplicate detection uses
-    a plain prefix set so ``add`` stays O(1).
+    aggregate them, so indexing every entry up front would be wasted
+    world-build time.  Duplicate detection uses a plain prefix set so
+    ``add`` stays O(1).
     """
 
     def __init__(self, entries: Iterable[EgressEntry] = ()) -> None:
@@ -112,12 +112,11 @@ class EgressList:
 
     def contains_address(self, address) -> bool:
         """Whether an address falls in any listed egress subnet."""
-        return self._index().lookup(address) is not None
+        return self._index().best_value(address) is not None
 
     def entry_for_address(self, address) -> EgressEntry | None:
         """The entry covering an address, or None."""
-        hit = self._index().lookup(address)
-        return hit[1] if hit else None
+        return self._index().best_value(address)
 
     # ------------------------------------------------------------------
     # Aggregations used by Tables 3/4 and Figures 2/4/5

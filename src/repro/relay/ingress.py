@@ -72,6 +72,9 @@ class IngressFleet:
     _pod_cache: dict[tuple[int, str, RelayProtocol], list[IngressRelay]] = field(
         default_factory=dict, repr=False
     )
+    _address_cache: dict[
+        tuple[int, RelayProtocol | None, int | None], frozenset[IPAddress]
+    ] = field(default_factory=dict, repr=False)
     _pods_sorted: list[str] | None = field(default=None, repr=False)
     #: Bumped on every composition change; epoch-derived caches held by
     #: *other* objects (the relay service's epoch-token window) key on it.
@@ -89,6 +92,7 @@ class IngressFleet:
         self._epoch_window = None
         self._active_cache.clear()
         self._pod_cache.clear()
+        self._address_cache.clear()
         self._pods_sorted = None
         self.epoch_generation += 1
         return relay
@@ -167,9 +171,20 @@ class IngressFleet:
         at_time: float,
         protocol: RelayProtocol | None = None,
         asn: int | None = None,
-    ) -> set[IPAddress]:
-        """Addresses of :meth:`active` relays."""
-        return {r.address for r in self.active(at_time, protocol, asn)}
+    ) -> frozenset[IPAddress]:
+        """Addresses of :meth:`active` relays, memoised per deployment epoch.
+
+        Every relayed connection and QUIC probe tests its ingress address
+        against this set, so it is built once per epoch, not per call.
+        """
+        key = (self.deployment_epoch(at_time), protocol, asn)
+        cached = self._address_cache.get(key)
+        if cached is None:
+            cached = frozenset(
+                r.address for r in self.active(at_time, protocol, asn)
+            )
+            self._address_cache[key] = cached
+        return cached
 
     def pods(self) -> set[str]:
         """All pod labels present in the fleet."""

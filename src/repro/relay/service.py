@@ -172,7 +172,7 @@ class AssignmentMap:
         # ranges cannot partially overlap), so both directions reduce to
         # bisect probes of the sorted starts/ends — the trie itself is
         # only materialised if nesting ever appears (worldgen's ~40 k
-        # disjoint units never pay for its node objects).
+        # disjoint units never pay for building it).
         starts = self._starts[prefix.version]
         ends = self._ends[prefix.version]
         pos = bisect.bisect_left(starts, prefix.value)

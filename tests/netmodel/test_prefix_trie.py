@@ -144,3 +144,91 @@ def test_trie_matches_bruteforce(prefixes, probe_value):
         assert result is None
     else:
         assert result == expected
+
+
+# ----------------------------------------------------------------------
+# Property: every query agrees with a brute-force reference after a
+# random sequence of inserts, replacements and removes (IPv4 and IPv6)
+# ----------------------------------------------------------------------
+
+def bit_string(prefix: Prefix) -> str:
+    """The prefix's network bits as text: sorting these strings is the
+    preorder of a binary trie (a prefix sorts before its extensions)."""
+    if not prefix.length:
+        return ""
+    return format(prefix.value >> (prefix.bits - prefix.length), f"0{prefix.length}b")
+
+
+@st.composite
+def trie_scenarios(draw):
+    version = draw(st.sampled_from([4, 6]))
+    bits = 32 if version == 4 else 128
+    address = st.integers(0, (1 << bits) - 1)
+    # A few base addresses: prefixes cut from the same base nest at every
+    # length, which random prefixes alone would almost never do.
+    bases = draw(st.lists(address, min_size=1, max_size=4))
+    length = st.integers(0, bits)
+    prefix = st.builds(
+        lambda i, n: Prefix.from_address(IPAddress(version, bases[i % len(bases)]), n),
+        st.integers(0, 3),
+        length,
+    )
+    ops = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), prefix, st.integers(0, 5)),
+            st.tuples(st.just("remove"), prefix, st.none()),
+        ),
+        max_size=40,
+    ))
+    # Probe the bases, one-bit neighbours of them, and random addresses.
+    flips = st.builds(
+        lambda i, bit: bases[i % len(bases)] ^ (1 << bit),
+        st.integers(0, 3),
+        st.integers(0, bits - 1),
+    )
+    probes = bases + draw(st.lists(st.one_of(address, flips), max_size=12))
+    return version, ops, probes
+
+
+def reference_lpm(table, value, max_length):
+    best = None
+    for prefix, stored in table.items():
+        if prefix.length <= max_length and prefix.contains_value(value):
+            if best is None or prefix.length > best[0].length:
+                best = (prefix, stored)
+    return best
+
+
+@given(trie_scenarios())
+def test_trie_matches_reference_model(scenario):
+    version, ops, probes = scenario
+    trie = PrefixTrie(version)
+    table: dict[Prefix, int] = {}
+    touched: set[Prefix] = set()
+    for op, prefix, value in ops:
+        touched.add(prefix)
+        if op == "insert":
+            trie.insert(prefix, value)
+            table[prefix] = value
+        else:
+            assert trie.remove(prefix) == (prefix in table)
+            table.pop(prefix, None)
+
+    assert len(trie) == len(table)
+    assert list(trie.items()) == sorted(table.items(), key=lambda kv: bit_string(kv[0]))
+    for prefix in touched:
+        assert trie.exact(prefix) == table.get(prefix)
+        assert trie.covering(prefix) == reference_lpm(table, prefix.value, prefix.length)
+    bits = 32 if version == 4 else 128
+    for value in probes:
+        expected = reference_lpm(table, value, bits)
+        assert trie.lookup_value(value) == expected
+        assert trie.lookup(IPAddress(version, value)) == expected
+        assert trie.best_value(value) == (expected[1] if expected else None)
+
+    dual = DualStackTrie()
+    for prefix, stored in table.items():
+        dual.insert(prefix, stored)
+    assert list(dual.items()) == list(trie.items())
+    for value in probes:
+        assert dual.best_value(IPAddress(version, value)) == trie.best_value(value)
