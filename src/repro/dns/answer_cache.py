@@ -9,9 +9,12 @@ filtering, record-object construction) and hands back an
 :class:`~repro.dns.zone.AnswerPlan`; the plan is stored keyed by
 ``(qname, rtype, scope-block)`` and every query — first or repeat —
 calls ``plan.produce()``, which replays the per-query tail (the relay
-service's answer rotation) exactly as the uncached handler would.  The
-fast path is therefore *bit-identical* with the cache on or off, by
-construction rather than by luck.
+service's answer rotation) exactly as the uncached handler would.  Scan
+results are therefore *bit-identical* with the cache on or off, by
+construction rather than by luck.  Switching it off (``enabled =
+False``) also makes :meth:`ScopeAnswerCache.replay_program` refuse, so
+the scanner runs its message-level reference path: the oracle the
+kernel equivalence suites diff against.
 
 Staleness is impossible by keying on the zone's epoch token
 (:meth:`~repro.dns.zone.Zone.epoch_token`): zone content version plus

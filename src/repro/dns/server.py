@@ -202,8 +202,9 @@ class AuthoritativeServer:
         self._n_answered = self.stats.counter("answered")
         self._n_refused = self.stats.counter("refused")
         #: Scope-block answer-plan cache (the scan fast path).  Always
-        #: wired; scanners may flip ``enabled`` off to exercise the
-        #: reference path (results are identical either way).
+        #: wired; setting ``enabled`` to False selects the scanner's
+        #: message-level reference path (results are identical either
+        #: way) — the one switch for the kernel-vs-oracle checks.
         self.answer_cache = ScopeAnswerCache()
         self._zones: list[Zone] = []
         self._zone_for: dict[DnsName, Zone | None] = {}

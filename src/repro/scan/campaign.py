@@ -185,9 +185,9 @@ class ScanCampaign:
     def _fingerprint(self) -> dict:
         """Every setting that can change results, and nothing else.
 
-        Worker count and the fast-path switch are excluded on purpose —
-        both are verified result-invariant by the equivalence suites, so
-        a campaign may be killed under one and resumed under the other.
+        Worker count is excluded on purpose — it is verified
+        result-invariant by the sharded equivalence suite, so a campaign
+        may be killed under one worker count and resumed under another.
         """
         settings = self.settings
         plan = settings.fault_plan

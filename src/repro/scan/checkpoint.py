@@ -17,7 +17,7 @@ leaves either the previous checkpoint or none — never a torn file.  A
 checkpoint embeds a **settings fingerprint**; resuming against different
 scan settings raises :class:`~repro.errors.CheckpointError` instead of
 silently splicing incompatible months together.  Settings that cannot
-change results (worker count, fast path) are deliberately excluded from
+change results (the worker count) are deliberately excluded from
 the fingerprint: a campaign killed under ``--workers 4`` may be resumed
 under ``--workers 1`` and still produce bit-identical output.
 """

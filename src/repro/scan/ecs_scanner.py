@@ -87,11 +87,8 @@ class EcsScanSettings:
     #: once every ``sparse_stride`` /24 blocks.
     prune_unrouted: bool = True
     sparse_stride: int = 4096
-    #: Use the server's scope-block answer cache (results are identical
-    #: either way; off exercises the reference path).
-    fast_path: bool = True
-    #: Shard worker processes for campaign scans.  ``1`` runs the
-    #: in-process fast path; ``>1`` partitions the routed space into
+    #: Shard worker processes for campaign scans.  ``1`` scans
+    #: in-process; ``>1`` partitions the routed space into
     #: contiguous shards executed by :mod:`repro.scan.sharding` workers.
     workers: int = 1
     #: Campaign seed: each shard's rotation streams are reseeded from
@@ -268,9 +265,9 @@ class _FaultGate:
 
     One :meth:`send` call models one logical query — the first attempt
     plus any retries — performing every token take itself and accounting
-    faults, backoff waits, and give-ups.  Both the fast kernel and the
-    slow reference path route queries through the *same* gate methods,
-    so fault semantics cannot diverge between them.
+    faults, backoff waits, and give-ups.  Both the batch-replay kernel
+    and the message-level reference path route queries through the
+    *same* gate methods, so fault semantics cannot diverge between them.
 
     Injected waits are accumulated here and applied to the clock once at
     scan end: advancing mid-scan would change the token bucket's refill
@@ -442,7 +439,7 @@ class EcsScanner:
         possibly overlapping; they are sorted and contiguous pieces
         merged before delegating to :meth:`scan_ranges`, so the walk
         inside each region issues exactly the queries a full scan would
-        issue there — including the replay-program fast path.
+        issue there — including the batch-replay kernel.
         """
         return self.scan_ranges(
             domain, merge_ranges(spans), merge_ranges(gaps), rtype
@@ -478,16 +475,16 @@ class EcsScanner:
         :meth:`scan` reproduces the sequential scan order exactly.  Shard
         workers call this with the ranges clipped to their shard.
 
-        The server's answer cache is switched to ``settings.fast_path``
-        for the scan's duration (and restored afterwards).
+        The batch-replay kernel (:meth:`_run_program`) serves every scan
+        it can compile; anything it refuses runs through the
+        message-level reference path (:meth:`_run_slow`).  Switching the
+        server's ``answer_cache`` off makes the kernel refuse, so that
+        flag alone selects the reference oracle.
         """
         settings = self.settings
         bucket = TokenBucket(settings.rate, settings.burst, self.clock)
         result = EcsScanResult(domain=domain, started_at=self.clock.now)
         server = self.server
-        cache = server.answer_cache
-        was_enabled = cache.enabled
-        cache.enabled = settings.fast_path
         # The kernel replays AuthoritativeServer.handle()'s logic inline,
         # so it is only valid when the server actually runs that logic —
         # a subclass or instance overriding handle() (the tests' failure
@@ -513,12 +510,12 @@ class EcsScanner:
         wall_start = time.perf_counter()
         with self.telemetry.tracer.span("ecs.scan", domain=domain):
             try:
-                if settings.fast_path and stock_handle:
-                    self._run_fast(result, domain, rtype, spans, gaps, bucket, gate)
-                else:
+                served = stock_handle and self._run_program(
+                    result, domain, rtype, spans, gaps, bucket, gate
+                )
+                if not served:
                     self._run_slow(result, domain, rtype, spans, gaps, bucket, gate)
             finally:
-                cache.enabled = was_enabled
                 if was_gc:
                     gc.enable()
         if gate is not None:
@@ -601,224 +598,6 @@ class EcsScanner:
                     count
                 )
 
-    def _run_fast(
-        self,
-        result: EcsScanResult,
-        domain: str,
-        rtype: RRType,
-        spans: list[tuple[int, int]],
-        gaps: list[tuple[int, int]],
-        bucket: TokenBucket,
-        gate: _FaultGate | None = None,
-    ) -> None:
-        """The scan kernel: drive the server's internals per query.
-
-        Resolves the zone once, then per query replays exactly what
-        :meth:`AuthoritativeServer.handle` would do for a v4 ECS query —
-        rate-limit take, stats accounting, effective-subnet policy,
-        ``answer_cache.lookup``, scope computation — without building a
-        ``DnsMessage`` in either direction.  Transaction ids are not
-        modelled here: they are unobservable in :class:`EcsScanResult`
-        (the slow reference path still assigns them).
-
-        Per-query side effects (rotation bookkeeping, cache stores and
-        epoch invalidations) run through the very same code as the
-        message path, so the fast/slow equivalence suite keeps holding
-        bit-for-bit.
-
-        When the zone can compile a replay program for the scanned range
-        the batch-replay kernel (:meth:`_run_program`) takes over; this
-        per-query loop remains the fallback for zones and settings the
-        compiler does not cover.
-        """
-        if self._run_program(result, domain, rtype, spans, gaps, bucket, gate):
-            return
-        settings = self.settings
-        server = self.server
-        qname = DnsName.parse(domain)
-        zone = server.zone_for(qname)
-        zone_missing = zone is None
-        stats = server.stats
-        policy = server.ecs_policy
-        lookup = server.answer_cache.lookup
-        origin_of = self.routing.origin_of
-        take = bucket.take
-        append_response = result.responses.append
-        append_sparse = result.sparse_responses.append
-        respect_scope = settings.respect_scope
-        source_len = settings.source_prefix_len
-        step = 1 << (32 - source_len)
-        source_mask = ((1 << source_len) - 1) << (32 - source_len)
-        sparse_stride = settings.sparse_stride << 8
-        policy_enabled = policy.enabled
-        max_source = policy.max_source_v4
-        truncate_routed = policy_enabled and source_len > max_source
-        # handle()'s response scope for answers without an override:
-        # min(source length, policy cap).  Sources here are always v4
-        # (/source_len routed, /24 sparse), so the v6 branches are moot.
-        routed_scope = source_len if source_len < max_source else max_source
-        sparse_scope = 24 if 24 < max_source else max_source
-        if self._subnet_cache_len != source_len:
-            self._subnet_cache = {}
-            self._subnet_cache_len = source_len
-        subnet_cache = self._subnet_cache
-        # Answer memo: answered queries receive the relay service's
-        # memoised rotation-window tuples, so the same records *object*
-        # recurs throughout a scan.  Keyed by that identity, the memo
-        # skips re-extracting addresses and re-deriving the answer AS —
-        # and hands every recurrence the *same* address tuple, which is
-        # what makes the identity-based deduplication in
-        # EcsScanResult.addresses() effective.  Each value retains its
-        # records object, so every id used as a live key refers to a
-        # still-alive object and can never be reissued to a fresh one
-        # (zones that build a new record list per query just miss — and
-        # insert — once per answer, same as before the memo).
-        answer_memo: dict[int, tuple] = {}
-        # Server counters, hoisted to locals for the loop and written
-        # back once at the end (nothing else touches them mid-scan).
-        n_queries = 0
-        n_ecs = 0
-        n_answered = 0
-        n_nodata = 0
-        n_nxdomain = 0
-        n_refused = 0
-        sent = 0
-        sparse_sent = 0
-        sparse_answered = 0
-        hb = self.heartbeat
-        for start, end, is_gap in _interleave(spans, gaps):
-            if hb is not None:
-                hb()
-            if is_gap:
-                cursor = (start + sparse_stride - 1) // sparse_stride * sparse_stride
-                while cursor + 255 <= end:
-                    subnet = Prefix(4, cursor, 24)
-                    if gate is None:
-                        take()
-                        sent += 1
-                        sparse_sent += 1
-                    else:
-                        delivered, takes = gate.send(cursor, subnet)
-                        sent += takes
-                        sparse_sent += takes
-                        if not delivered:
-                            cursor += sparse_stride
-                            continue
-                    n_queries += 1
-                    if zone_missing:
-                        n_refused += 1
-                        cursor += sparse_stride
-                        continue
-                    n_ecs += 1
-                    res = lookup(zone, qname, rtype, subnet if policy_enabled else None)
-                    if res.exists:
-                        records = res.records
-                        if records:
-                            n_answered += 1
-                            scope = res.scope_override
-                            if scope is None:
-                                scope = sparse_scope
-                            key = id(records)
-                            memo = answer_memo.get(key)
-                            if memo is None:
-                                addresses = tuple(
-                                    rr.rdata
-                                    for rr in records
-                                    if rr.rtype in _ADDRESS_RTYPES
-                                )
-                                memo = (
-                                    addresses,
-                                    origin_of(addresses[0]) if addresses else None,
-                                    records,
-                                )
-                                answer_memo[key] = memo
-                            sparse_answered += 1
-                            append_sparse(
-                                EcsResponse(subnet, scope, memo[0], memo[1])
-                            )
-                        else:
-                            n_nodata += 1
-                    else:
-                        n_nxdomain += 1
-                    cursor += sparse_stride
-                continue
-            cursor = start
-            while cursor <= end:
-                value = cursor & source_mask
-                subnet = subnet_cache.get(value)
-                if subnet is None:
-                    subnet = Prefix(4, value, source_len)
-                    subnet_cache[value] = subnet
-                if gate is None:
-                    take()
-                    sent += 1
-                else:
-                    # Fault check precedes the server: a dropped query
-                    # never reaches the zone, so no refused/nx counting.
-                    delivered, takes = gate.send(value, subnet)
-                    sent += takes
-                    if not delivered:
-                        cursor = value + step
-                        continue
-                n_queries += 1
-                if zone_missing:
-                    n_refused += 1
-                    cursor = value + step
-                    continue
-                n_ecs += 1
-                if truncate_routed:
-                    eff = subnet.truncate(max_source)
-                elif policy_enabled:
-                    eff = subnet
-                else:
-                    eff = None
-                res = lookup(zone, qname, rtype, eff)
-                if res.exists:
-                    records = res.records
-                    if records:
-                        n_answered += 1
-                        scope = res.scope_override
-                        if scope is None:
-                            scope = routed_scope
-                        key = id(records)
-                        memo = answer_memo.get(key)
-                        if memo is None:
-                            addresses = tuple(
-                                rr.rdata
-                                for rr in records
-                                if rr.rtype in _ADDRESS_RTYPES
-                            )
-                            memo = (
-                                addresses,
-                                origin_of(addresses[0]) if addresses else None,
-                                records,
-                            )
-                            answer_memo[key] = memo
-                        append_response(
-                            EcsResponse(subnet, scope, memo[0], memo[1])
-                        )
-                        if respect_scope and scope < source_len:
-                            # Skip to the end of the declared scope block
-                            # (subnet.truncate(scope).broadcast_value + 1).
-                            cursor = (
-                                subnet.value | ((1 << (32 - scope)) - 1)
-                            ) + 1
-                            continue
-                    else:
-                        n_nodata += 1
-                else:
-                    n_nxdomain += 1
-                cursor = value + step
-        stats.queries += n_queries
-        stats.ecs_queries += n_ecs
-        stats.answered += n_answered
-        stats.nodata += n_nodata
-        stats.nxdomain += n_nxdomain
-        stats.refused += n_refused
-        result.queries_sent += sent
-        result.sparse_queries += sparse_sent
-        result.sparse_answered += sparse_answered
-
     def _run_program(
         self,
         result: EcsScanResult,
@@ -861,7 +640,7 @@ class EcsScanner:
           recompiled against the new epoch, and relinked — the same
           invalidate-and-rebuild the per-query cache performs.  Near the
           horizon the kernel degrades to careful single-query takes with
-          the exact post-take clock check the per-query kernel performs.
+          the exact post-take clock check a per-query scan performs.
         * **Faults**: the attempt-0 draw is inlined (one splitmix64 hash
           against the plan's precomputed channel base); only faulted
           queries — identified by the exact same draw — fall back to the
@@ -871,9 +650,10 @@ class EcsScanner:
           query takes, so batching them would reorder the bucket replay).
 
         Returns False (without consuming anything) when the range cannot
-        be compiled — missing zone, ECS policy off or truncating, no
-        registered enumerator, nested assignment units, unbounded epoch —
-        and the per-query kernel takes over.
+        be compiled — no routed span, missing zone, ECS policy off or
+        truncating, answer cache off, no registered enumerator, nested
+        assignment units, unbounded epoch — and :meth:`scan_ranges` runs
+        the reference path instead.
         """
         if not spans:
             return False
@@ -1225,7 +1005,7 @@ class EcsScanner:
                     allowed = int((horizon - clock.now) * rate) - 2
                 if allowed < 1:
                     # Within a take or two of the horizon: single-query
-                    # takes with the per-query kernel's exact post-take
+                    # takes with a per-query scan's exact post-take
                     # clock check, crossing the epoch where it would.
                     take()
                     sent += 1
@@ -1289,8 +1069,9 @@ class EcsScanner:
         """The reference path: one fresh ``DnsMessage`` through
         :meth:`AuthoritativeServer.handle` per query.
 
-        Kept message-based on purpose — the fast/slow equivalence suite
-        diffs the kernel against this end-to-end path.
+        Kept message-based on purpose — it is the oracle the kernel
+        equivalence suites diff against, and it serves every scan the
+        kernel refuses (see :meth:`_run_program`).
         """
         settings = self.settings
         question = Question(DnsName.parse(domain), rtype)
@@ -1306,9 +1087,7 @@ class EcsScanner:
         source_len = settings.source_prefix_len
         step = 1 << (32 - source_len)
         source_mask = ((1 << source_len) - 1) << (32 - source_len)
-        # The routed-space loop below is _query() inlined (identical
-        # logic; the sparse path still calls the method), with the
-        # per-query attribute lookups hoisted out.
+        # Per-query attribute lookups hoisted out of both loops.
         append_response = result.responses.append
         take = bucket.take
         handle = self.server.handle
@@ -1329,40 +1108,37 @@ class EcsScanner:
             if hb is not None:
                 hb()
             if is_gap:
-                if gate is None:
-                    message_id = self._sparse_scan(
-                        start, end, make_query, bucket, result, message_id
-                    )
-                    continue
-                # Fault-aware sparse probing: the same gate calls (and
-                # hence the same fault draws) as the fast kernel's gap
-                # loop, driven through real messages.
+                # Sparse probing of unrouted space, once per stride: the
+                # same gate calls (and hence the same fault draws) as the
+                # kernel's gap loop, driven through real messages.  Ids
+                # share the routed probes' counter, and answered probes
+                # land in ``sparse_responses`` instead of being dropped.
                 cursor = (start + stride - 1) // stride * stride
                 while cursor + 255 <= end:
                     subnet = Prefix(4, cursor, 24)
                     message_id = (message_id + 1) & 0xFFFF
-                    delivered, takes = gate.send(cursor, subnet)
-                    sparse_sent += takes
-                    if delivered:
-                        response = handle(make_query(subnet, message_id))
-                        answers = response.answers
-                        if response.rcode == noerror and answers:
-                            ecs = response.client_subnet
-                            scope = (
-                                ecs.scope_prefix_length if ecs is not None else 24
-                            )
-                            addresses = tuple(
-                                rr.rdata
-                                for rr in answers
-                                if rr.rtype in _ADDRESS_RTYPES
-                            )
-                            answer_asn = (
-                                origin_of(addresses[0]) if addresses else None
-                            )
-                            sparse_answered += 1
-                            append_sparse(
-                                EcsResponse(subnet, scope, addresses, answer_asn)
-                            )
+                    if gate is None:
+                        take()
+                        sparse_sent += 1
+                    else:
+                        delivered, takes = gate.send(cursor, subnet)
+                        sparse_sent += takes
+                        if not delivered:
+                            cursor += stride
+                            continue
+                    response = handle(make_query(subnet, message_id))
+                    answers = response.answers
+                    if response.rcode == noerror and answers:
+                        ecs = response.client_subnet
+                        scope = ecs.scope_prefix_length if ecs is not None else 24
+                        addresses = tuple(
+                            rr.rdata for rr in answers if rr.rtype in _ADDRESS_RTYPES
+                        )
+                        answer_asn = origin_of(addresses[0]) if addresses else None
+                        sparse_answered += 1
+                        append_sparse(
+                            EcsResponse(subnet, scope, addresses, answer_asn)
+                        )
                     cursor += stride
                 continue
             cursor = start
@@ -1408,59 +1184,6 @@ class EcsScanner:
         result.queries_sent += sent + sparse_sent
         result.sparse_queries += sparse_sent
         result.sparse_answered += sparse_answered
-
-    def _query(
-        self,
-        subnet: Prefix,
-        message_id: int,
-        make_query,
-        bucket: TokenBucket,
-        result: EcsScanResult,
-    ) -> EcsResponse | None:
-        bucket.take()
-        result.queries_sent += 1
-        response = self.server.handle(make_query(subnet, message_id))
-        answers = response.answers
-        if response.rcode != Rcode.NOERROR or not answers:
-            return None
-        ecs = response.client_subnet
-        scope = ecs.scope_prefix_length if ecs is not None else subnet.length
-        # Inlined response.answer_addresses(): rdata of an A/AAAA record
-        # is its address, and this runs once per answered query.
-        addresses = tuple(
-            rr.rdata for rr in answers if rr.rtype in _ADDRESS_RTYPES
-        )
-        answer_asn = self.routing.origin_of(addresses[0]) if addresses else None
-        return EcsResponse(subnet, scope, addresses, answer_asn)
-
-    def _sparse_scan(
-        self,
-        start: int,
-        end: int,
-        make_query,
-        bucket: TokenBucket,
-        result: EcsScanResult,
-        message_id: int,
-    ) -> int:
-        """Sample unrouted space once per ``sparse_stride`` /24 blocks.
-
-        Shares the scan's transaction-id counter (ids stay unique across
-        routed and sparse probes) and records any answered probe in
-        ``result.sparse_responses`` instead of discarding it.  Returns
-        the advanced message id.
-        """
-        stride = self.settings.sparse_stride << 8
-        cursor = (start + stride - 1) // stride * stride
-        while cursor + 255 <= end:
-            subnet = Prefix(4, cursor, 24)
-            message_id = (message_id + 1) & 0xFFFF
-            result.sparse_queries += 1
-            response = self._query(subnet, message_id, make_query, bucket, result)
-            if response is not None:
-                result.sparse_answered += 1
-                result.sparse_responses.append(response)
-            cursor += stride
-        return message_id
 
 
 def merge_ranges(

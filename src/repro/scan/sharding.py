@@ -63,7 +63,7 @@ import multiprocessing
 import os
 import time
 from array import array
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 try:  # shared-memory shard IPC (absent on exotic interpreter builds)
@@ -566,6 +566,22 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
 # ----------------------------------------------------------------------
 
 
+def _submit(pool: ProcessPoolExecutor, task: ShardTask) -> Future:
+    """Queue one shard task on the pool.
+
+    A worker can die while the parent is still submitting; the pool
+    then refuses the remaining tasks with ``BrokenProcessPool``.  Such a
+    shard gets a future already failed with that error, so it takes the
+    same crash-recovery path as a shard lost after it was queued.
+    """
+    try:
+        return pool.submit(_run_shard, task)
+    except BrokenExecutor as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
 class ShardedCampaignExecutor:
     """Runs one scanner's scans sharded across forked worker processes.
 
@@ -635,10 +651,17 @@ class ShardedCampaignExecutor:
 
         Always terminates the workers — ``cancel_futures`` keeps a close
         during an in-flight scan (error unwind, ``__exit__``) from
-        blocking on queued shards nobody will collect.
+        blocking on queued shards nobody will collect.  The workers are
+        SIGKILLed before the shutdown joins them: a worker killed while
+        holding the pool's call-queue lock leaves its forked siblings
+        blocked on that lock for good, and ``shutdown(wait=True)`` would
+        wait on them forever.  Nothing a worker holds outlives it — shard
+        results are collected (or re-run) and segments swept below.
         """
         global _WORKER_SCANNER
         if self._pool is not None:
+            for process in list(self._pool._processes.values()):
+                process.kill()
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
         if _WORKER_SCANNER is self.scanner:
@@ -792,8 +815,9 @@ class ShardedCampaignExecutor:
     ) -> list[ShardOutcome]:
         """Run every shard to completion, recovering from worker crashes.
 
-        A dead worker breaks the whole fork pool: its own shard and any
-        shard still queued behind it surface as ``BrokenExecutor`` from
+        A dead worker breaks the whole fork pool: its own shard, any
+        shard still queued behind it, and any shard the broken pool
+        refused at submission surface as ``BrokenExecutor`` from
         ``future.result()``.  Those shards — and only those — are re-run
         against a fresh pool (bounded by :attr:`MAX_POOL_RESPAWNS`, then
         :class:`~repro.errors.WorkerCrashed`).  Shard results depend only
@@ -819,8 +843,8 @@ class ShardedCampaignExecutor:
                 (
                     plan,
                     shm_name := self._allocate_segment_name(plan.index, attempt),
-                    pool.submit(
-                        _run_shard,
+                    _submit(
+                        pool,
                         ShardTask(
                             index=plan.index,
                             domain=domain,

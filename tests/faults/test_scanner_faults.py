@@ -1,8 +1,9 @@
 """Fault injection at the ECS scan boundary.
 
-The fast-path and reference scan kernels must inject *exactly* the same
-faults — full bit-identity, responses included — and an attached
-``none`` profile must be indistinguishable from no plan at all.
+The batch-replay kernel and the reference oracle (the server's answer
+cache off) must inject *exactly* the same faults — full bit-identity,
+responses included — and an attached ``none`` profile must be
+indistinguishable from no plan at all.
 """
 
 import dataclasses
@@ -18,10 +19,11 @@ from repro.worldgen import WorldConfig, build_world
 SEED = 2022
 
 
-def _scan(profile, fast_path, telemetry=None, **overrides):
+def _scan(profile, kernel, telemetry=None, **overrides):
     world = build_world(WorldConfig.tiny(seed=SEED))
+    world.route53.answer_cache.enabled = kernel
     plan = None if profile is None else FaultPlan(profile, seed=SEED)
-    settings = EcsScanSettings(fast_path=fast_path, fault_plan=plan, **overrides)
+    settings = EcsScanSettings(fault_plan=plan, **overrides)
     scanner = EcsScanner(
         world.route53, world.routing, world.clock, settings, telemetry=telemetry
     )

@@ -9,6 +9,8 @@ leaked — and an ordinary worker exception must propagate promptly.
 
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -69,6 +71,58 @@ class TestCrashRecovery:
             with pytest.raises(WorkerCrashed):
                 executor.scan(RELAY_DOMAIN_QUIC)
         assert executor._pool is None  # torn down, not leaked
+
+    def test_pool_broken_during_submission_reruns_refused_shards(
+        self, monkeypatch
+    ):
+        """A submit the pool refuses (as a pool broken by a worker death
+        does) re-runs that shard on a fresh pool instead of ending the
+        scan, and the merge still equals the sequential scan."""
+        real_submit = ProcessPoolExecutor.submit
+        calls = 0
+
+        def submit(pool, fn, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                raise BrokenProcessPool("worker died during submission")
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        telemetry = Telemetry()
+        with _executor(None, telemetry=telemetry) as executor:
+            result = executor.scan(RELAY_DOMAIN_QUIC)
+        world = build_world(WorldConfig.tiny(seed=SEED))
+        sequential = EcsScanner(
+            world.route53,
+            world.routing,
+            world.clock,
+            EcsScanSettings(campaign_seed=SEED),
+        ).scan(RELAY_DOMAIN_QUIC)
+        assert [(r.subnet, r.scope) for r in result.responses] == [
+            (r.subnet, r.scope) for r in sequential.responses
+        ]
+        assert result.queries_sent == sequential.queries_sent
+        assert result.addresses_by_asn() == sequential.addresses_by_asn()
+        reruns = [
+            entry
+            for entry in telemetry.snapshot()["metrics"]["counters"]
+            if entry["name"] == "shards.rerun"
+        ]
+        assert reruns and reruns[0]["value"] >= 1
+
+    def test_pool_refusing_every_submission_raises_worker_crashed(
+        self, monkeypatch
+    ):
+        def submit(pool, fn, *args, **kwargs):
+            raise BrokenProcessPool("pool is broken")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        executor = _executor(None)
+        with executor:
+            with pytest.raises(WorkerCrashed):
+                executor.scan(RELAY_DOMAIN_QUIC)
+        assert executor._pool is None
 
     def test_worker_exception_propagates_and_closes_pool(self, monkeypatch):
         monkeypatch.setattr(sharding, "_run_shard", _boom)

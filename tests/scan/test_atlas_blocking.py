@@ -14,8 +14,13 @@ INGRESS_ASNS = {714, 36183}
 
 
 @pytest.fixture(scope="module")
-def april_context(small_world):
-    """ECS April scan, then the clock moved to the Atlas run time."""
+def april_context(small_world, small_world_scans):
+    """ECS April scan, then the clock moved to the Atlas run time.
+
+    Depends on ``small_world_scans`` so the shared session clock has
+    already walked the monthly scans before it moves to April here — the
+    clock only ever advances, whichever test file runs first.
+    """
     world = small_world
     target = world.deployment.april_scan_start
     if world.clock.now < target:

@@ -142,15 +142,6 @@ class TestScopeCursorAdvancement:
         result = setup.scan(respect_scope=False)
         assert result.queries_sent == 4
 
-    def test_fast_and_reference_paths_advance_identically(self):
-        fast = _FixedScopeSetup(scope=23)
-        slow = _FixedScopeSetup(scope=23)
-        fast_result = fast.scan(fast_path=True)
-        slow_result = slow.scan(fast_path=False)
-        assert fast.queried == slow.queried
-        assert fast_result.queries_sent == slow_result.queries_sent
-        assert fast_result.responses == slow_result.responses
-
 
 class TestEcsScan:
     def test_uncovers_all_active_quic_relays(self, tiny_world, april_scan):

@@ -479,21 +479,22 @@ class TestListResultIntake:
 
     def test_reference_path_folds_identically(self):
         states = {}
-        for fast_path in (True, False):
+        for kernel in (True, False):
             world = build_world(WorldConfig.tiny(seed=SEED))
             world.clock.advance_to(scan_time(2022, 1))
+            world.route53.answer_cache.enabled = kernel
             scanner = EcsScanner(
                 world.route53, world.routing, world.clock,
-                EcsScanSettings(campaign_seed=SEED, fast_path=fast_path),
+                EcsScanSettings(campaign_seed=SEED),
             )
             engine = DeltaScanEngine(scanner, refresh_rounds=3)
             seeds = engine.ensure_seeded()
             assert all(
-                (result.columnar_view() is None) is (not fast_path)
+                (result.columnar_view() is None) is (not kernel)
                 for result in seeds.values()
             )
             rounds = [_round_record(engine.run_round()) for _ in range(2)]
-            states[fast_path] = (
+            states[kernel] = (
                 rounds,
                 {
                     domain: encode_snapshot(snapshot)
