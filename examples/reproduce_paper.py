@@ -4,8 +4,8 @@
 This is the harness that regenerates every table and figure of the
 paper in one pass and prints (or writes) a Markdown report comparing
 each published number against the measured one.  At ``--scale 1.0`` it
-takes about half a minute (23-29 s wall, ~550 MB peak RSS, on a 2-core
-x86 VM); the committed ``EXPERIMENTS.md`` was produced by this script at
+takes 21-28 s wall (median 24 s) with ~510 MB peak RSS on a 2-core x86
+VM; the committed ``EXPERIMENTS.md`` was produced by this script at
 scale 1.0.
 
 Usage::

@@ -3,10 +3,16 @@
 All analyses consume only public inputs: the published egress list, the
 BGP routing table, the gazetteer (for coordinates), and optionally the
 commercial geolocation database (for the MaxMind-adoption finding).
+
+Every table reads one BGP attribution of the list,
+:meth:`EgressList.attributed` — ``(entry, route)`` per routed subnet,
+computed once per routing-table state — instead of re-deriving each
+subnet's origin AS itself.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.tables import TextTable
@@ -75,26 +81,20 @@ class Table3Report:
 def build_table3(egress_list: EgressList, routing: RoutingTable) -> Table3Report:
     """Aggregate the egress list by operator AS via BGP attribution."""
     per_asn: dict[int, dict[str, object]] = {}
-    for entry in egress_list:
-        address = entry.prefix.network_address
-        asn = routing.origin_of(address)
-        if asn is None:
-            continue
-        agg = per_asn.setdefault(
-            asn,
-            {
+    for entry, ann in egress_list.attributed(routing):
+        agg = per_asn.get(ann.origin_asn)
+        if agg is None:
+            agg = per_asn[ann.origin_asn] = {
                 "v4_subnets": 0, "v4_addresses": 0, "v4_prefixes": set(),
                 "v6_subnets": 0, "v6_prefixes": set(), "v6_ccs": set(),
-            },
-        )
-        bgp_prefix = routing.routed_prefix_of(address)
+            }
         if entry.prefix.version == 4:
             agg["v4_subnets"] += 1
             agg["v4_addresses"] += entry.prefix.num_addresses()
-            agg["v4_prefixes"].add(bgp_prefix)
+            agg["v4_prefixes"].add(ann.prefix)
         else:
             agg["v6_subnets"] += 1
-            agg["v6_prefixes"].add(bgp_prefix)
+            agg["v6_prefixes"].add(ann.prefix)
             agg["v6_ccs"].add(entry.country_code)
     report = Table3Report()
     for asn in sorted(per_asn):
@@ -159,13 +159,12 @@ class Table4Report:
 def build_table4(egress_list: EgressList, routing: RoutingTable) -> Table4Report:
     """Count distinct (country, city) pairs per operator and IP version."""
     per_asn: dict[int, dict[int, set]] = {}
-    for entry in egress_list:
-        if not entry.has_city:
+    for entry, ann in egress_list.attributed(routing):
+        if not entry.city:
             continue
-        asn = routing.origin_of(entry.prefix.network_address)
-        if asn is None:
-            continue
-        per_version = per_asn.setdefault(asn, {4: set(), 6: set()})
+        per_version = per_asn.get(ann.origin_asn)
+        if per_version is None:
+            per_version = per_asn[ann.origin_asn] = {4: set(), 6: set()}
         per_version[entry.prefix.version].add((entry.country_code, entry.city))
     report = Table4Report()
     for asn in sorted(per_asn):
@@ -193,16 +192,17 @@ def build_geo_scatter(
     This is the data series behind the Figure 2/5 maps.
     """
     out: dict[int, list[tuple[float, float]]] = {}
-    for entry in egress_list.entries(version):
-        if not entry.has_city:
+    for entry, ann in egress_list.attributed(routing):
+        if not entry.city:
             continue
-        asn = routing.origin_of(entry.prefix.network_address)
-        if asn is None:
+        if version is not None and entry.prefix.version != version:
             continue
         city = gazetteer.city(entry.country_code, entry.city)
         if city is None:
             continue
-        out.setdefault(asn, []).append((city.location.lat, city.location.lon))
+        out.setdefault(ann.origin_asn, []).append(
+            (city.location.lat, city.location.lon)
+        )
     return out
 
 
@@ -241,32 +241,30 @@ def build_location_cdfs(
     egress_list: EgressList, routing: RoutingTable
 ) -> list[LocationCdf]:
     """CDFs per (operator, version, granularity) — Figure 4's 4 panels."""
-    counters: dict[tuple[int, int, str], dict] = {}
-    for entry in egress_list:
-        asn = routing.origin_of(entry.prefix.network_address)
-        if asn is None:
-            continue
-        version = entry.prefix.version
-        cc_key = (asn, version, "country")
-        counters.setdefault(cc_key, {}).setdefault(entry.country_code, 0)
-        counters[cc_key][entry.country_code] += 1
-        if entry.has_city:
-            city_key = (asn, version, "city")
-            label = (entry.country_code, entry.city)
-            counters.setdefault(city_key, {}).setdefault(label, 0)
-            counters[city_key][label] += 1
+    # Location labels per (operator, version), tallied at C speed below.
+    countries: dict[tuple[int, int], list[str]] = {}
+    cities: dict[tuple[int, int], list[tuple[str, str]]] = {}
+    for entry, ann in egress_list.attributed(routing):
+        key = (ann.origin_asn, entry.prefix.version)
+        codes = countries.get(key)
+        if codes is None:
+            codes = countries[key] = []
+            cities[key] = []
+        codes.append(entry.country_code)
+        if entry.city:
+            cities[key].append((entry.country_code, entry.city))
     out = []
-    for (asn, version, granularity), counts in sorted(
-        counters.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-    ):
-        out.append(
-            LocationCdf(
-                asn=asn,
-                version=version,
-                granularity=granularity,
-                counts=sorted(counts.values(), reverse=True),
-            )
-        )
+    for key in sorted(countries):
+        for granularity, labels in (("city", cities[key]), ("country", countries[key])):
+            if labels:
+                out.append(
+                    LocationCdf(
+                        asn=key[0],
+                        version=key[1],
+                        granularity=granularity,
+                        counts=sorted(Counter(labels).values(), reverse=True),
+                    )
+                )
     return out
 
 
@@ -335,11 +333,11 @@ def build_egress_facts(
             second_cc, second_count = code, count
             break
     cc_sets: dict[int, set[str]] = {}
-    for entry in egress_list:
-        asn = routing.origin_of(entry.prefix.network_address)
-        if asn is None:
-            continue
-        cc_sets.setdefault(asn, set()).add(entry.country_code)
+    for entry, ann in egress_list.attributed(routing):
+        codes = cc_sets.get(ann.origin_asn)
+        if codes is None:
+            codes = cc_sets[ann.origin_asn] = set()
+        codes.add(entry.country_code)
     uniquely: dict[int, int] = {}
     for asn, codes in cc_sets.items():
         others = set().union(

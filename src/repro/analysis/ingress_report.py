@@ -5,15 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.tables import TextTable, pct
-from repro.netmodel.addr import IPAddress
 from repro.netmodel.asn import WellKnownAS, operator_name
 from repro.netmodel.bgp import RoutingTable
 from repro.netmodel.population import ASPopulationDataset
+from repro.scan.columnar import ColumnarResponses
 from repro.scan.ecs_scanner import EcsScanResult
 from repro.simtime import format_month
 
 APPLE = int(WellKnownAS.APPLE)
 AKAMAI_PR = int(WellKnownAS.AKAMAI_PR)
+#: Table 2's per-client-AS count slot of each ingress operator.
+_OPERATOR_SLOT = {APPLE: 0, AKAMAI_PR: 1}
+#: /24 client subnets an answer covers, by declared ECS scope
+#: (``EcsResponse.covered_slash24s`` as a table over the scope byte).
+_COVERED_SLASH24S = tuple(1 << (24 - scope) if scope < 24 else 1 for scope in range(256))
 
 
 # ----------------------------------------------------------------------
@@ -198,26 +203,44 @@ def build_table2(
     the covered-/24 count comes from the ECS scope.  ASes appearing with
     both operators form the "Both" row, whose users cannot be split
     because the population dataset has AS granularity only.
+
+    Reads the scan's response columns.  A scan without them (restored
+    from a checkpoint, or answered by the reference path) is packed into
+    columns first, so both kinds take the same path.
     """
-    per_as: dict[int, dict[int, int]] = {}
-    for response in scan.responses:
-        if response.answer_asn not in (APPLE, AKAMAI_PR):
-            continue
-        client_asn = routing.origin_of(IPAddress(4, response.subnet.value))
-        if client_asn is None or client_asn not in population:
-            # Infrastructure and operator space has no user-population
-            # estimate; like the paper's APNIC-based attribution, only
-            # eyeball ASes covered by the dataset are attributed.
-            continue
-        ops = per_as.setdefault(client_asn, {})
-        ops[response.answer_asn] = (
-            ops.get(response.answer_asn, 0) + response.covered_slash24s()
+    columns = scan.columnar_view()
+    if columns is None:
+        responses = scan.responses
+        columns = ColumnarResponses.pack(
+            responses, responses[0].subnet.length if responses else 24
         )
+    lookup = routing.lookup_value
+    # client AS -> served /24s as [Apple, Akamai].
+    per_as: dict[int, list[int]] = {}
+    for values, scopes, refs, table in columns.chunks:
+        # Per distinct answer: the serving operator's slot, or None for
+        # answers from neither ingress operator.
+        slots = [_OPERATOR_SLOT.get(asn) for _, asn in table]
+        for value, scope, ref in zip(values, scopes, refs):
+            slot = slots[ref]
+            if slot is None:
+                continue
+            route = lookup(4, value)
+            if route is None:
+                continue
+            counts = per_as.get(route.origin_asn)
+            if counts is None:
+                if route.origin_asn not in population:
+                    # Infrastructure and operator space has no
+                    # user-population estimate; like the paper's
+                    # APNIC-based attribution, only eyeball ASes covered
+                    # by the dataset are attributed.
+                    continue
+                counts = per_as[route.origin_asn] = [0, 0]
+            counts[slot] += _COVERED_SLASH24S[scope]
     report = Table2Report()
-    for client_asn, ops in per_as.items():
+    for client_asn, (apple, akamai) in per_as.items():
         users = population.population(client_asn)
-        apple = ops.get(APPLE, 0)
-        akamai = ops.get(AKAMAI_PR, 0)
         if apple and akamai:
             report.both_ases += 1
             report.both_slash24s += apple + akamai

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netmodel.addr import IPAddress, Prefix
+from repro.netmodel.addr import IPAddress
 from repro.netmodel.asn import WellKnownAS
 from repro.netmodel.bgp import BgpHistory, RoutingTable
 from repro.netmodel.prefix_trie import DualStackTrie
@@ -106,11 +106,7 @@ def build_overlap_report(
         for address in (ingress_addresses_v4 | ingress_addresses_v6)
         if (asn := routing.origin_of(address)) is not None
     }
-    egress_asns = {
-        asn
-        for entry in egress_list
-        if (asn := routing.origin_of(entry.prefix.network_address)) is not None
-    }
+    egress_asns = {ann.origin_asn for _entry, ann in egress_list.attributed(routing)}
     overlap = ingress_asns & egress_asns
 
     # --- prefix usage ----------------------------------------------------
@@ -119,16 +115,20 @@ def build_overlap_report(
     trie: DualStackTrie[str] = DualStackTrie()
     for prefix in announced_v4 + announced_v6:
         trie.insert(prefix, "announced")
-    ingress_hit: set[Prefix] = set()
+    # Announced prefixes are held as (version, network << 8 | length):
+    # the egress side probes them once per listed subnet and builds no
+    # Prefix objects.
+    ingress_hit: set[tuple[int, int]] = set()
     for address in ingress_addresses_v4 | ingress_addresses_v6:
         hit = trie.lookup(address)
         if hit is not None:
-            ingress_hit.add(hit[0])
-    egress_hit: set[Prefix] = set()
+            ingress_hit.add((address.version, hit[0].value << 8 | hit[0].length))
+    egress_hit: set[tuple[int, int]] = set()
+    covering_key = trie.covering_key
     for entry in egress_list:
-        hit = trie.covering(entry.prefix)
-        if hit is not None:
-            egress_hit.add(hit[0])
+        key = covering_key(entry.prefix)
+        if key is not None:
+            egress_hit.add((entry.prefix.version, key))
     shared = ingress_hit & egress_hit
 
     # --- BGP history -------------------------------------------------------

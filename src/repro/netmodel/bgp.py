@@ -16,13 +16,16 @@ Three consumers drive this module's shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from repro.errors import RoutingError
+from repro.errors import AddressError, RoutingError
 from repro.netmodel.addr import IPAddress, Prefix
 from repro.netmodel.prefix_trie import DualStackTrie
 from repro.perfstats import CacheStats
 from repro.simtime import format_month, month_index
+
+#: Memo-probe sentinel: a cached route may itself be None (unrouted).
+_MISSING = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,10 +51,17 @@ class RoutingTable:
         self._by_origin: dict[int, list[Announcement]] = {}
         # Per-address route memo: the ECS scanner attributes every answer
         # through origin_of(), and answers repeat the same few hundred
-        # relay addresses millions of times.  Invalidated wholesale on any
+        # relay addresses millions of times.  One dict per IP version,
+        # keyed by the address value (no key object per probe), next to
+        # that version's LPM probe.  Invalidated wholesale on any
         # announce/withdraw.
-        self._route_memo: dict[tuple[int, int], Announcement | None] = {}
+        self._route_memo: dict[int, tuple[dict[int, Announcement | None], Callable]] = {
+            version: ({}, self._trie.family(version).best_value) for version in (4, 6)
+        }
         self.origin_stats = CacheStats()
+        # The live counters behind origin_stats, bumped directly per probe.
+        self._memo_hits = self.origin_stats.counter("hits")
+        self._memo_misses = self.origin_stats.counter("misses")
         #: Bumped on every announce/withdraw; consumers (the scanner's
         #: routed-span cache) key derived data on it.
         self.version = 0
@@ -60,8 +70,10 @@ class RoutingTable:
         return len(self._trie)
 
     def _invalidate_memo(self) -> None:
-        if self._route_memo:
-            self._route_memo.clear()
+        memos = [memo for memo, _ in self._route_memo.values() if memo]
+        for memo in memos:
+            memo.clear()
+        if memos:
             self.origin_stats.invalidations += 1
 
     def announce(self, prefix: Prefix, origin_asn: int) -> Announcement:
@@ -92,28 +104,34 @@ class RoutingTable:
         self.version += 1
         return True
 
+    def lookup_value(self, version: int, value: int) -> Announcement | None:
+        """Longest-prefix-match route for a packed address (``version``,
+        integer ``value``), or None — memoised, and builds no address."""
+        family = self._route_memo.get(version)
+        if family is None:
+            raise AddressError(f"IP version must be 4 or 6, got {version}")
+        memo, best_value = family
+        ann = memo.get(value, _MISSING)
+        if ann is not _MISSING:
+            self._memo_hits.value += 1
+            return ann  # type: ignore[return-value]
+        self._memo_misses.value += 1
+        # The announcement carries its own prefix: ask for the value only.
+        ann = memo[value] = best_value(value)
+        return ann
+
     def lookup(self, address: IPAddress) -> Announcement | None:
         """Longest-prefix-match route for an address, or None (memoised)."""
-        key = (address.version, address.value)
-        memo = self._route_memo
-        if key in memo:
-            self.origin_stats.hits += 1
-            return memo[key]
-        self.origin_stats.misses += 1
-        # The announcement carries its own prefix: ask for the value only.
-        ann = self._trie.best_value(address)
-        memo[key] = ann
-        return ann
+        return self.lookup_value(address.version, address.value)
 
     def origin_of(self, address: IPAddress) -> int | None:
         """Origin AS number for an address, or None if unrouted."""
-        ann = self.lookup(address)
+        ann = self.lookup_value(address.version, address.value)
         return ann.origin_asn if ann else None
 
     def covering_route(self, prefix: Prefix) -> Announcement | None:
         """The announcement covering the entire ``prefix``, or None."""
-        hit = self._trie.covering(prefix)
-        return hit[1] if hit else None
+        return self._trie.covering_value(prefix)
 
     def routed_prefix_of(self, address: IPAddress) -> Prefix | None:
         """The announced prefix that routes ``address``, or None."""

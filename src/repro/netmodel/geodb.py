@@ -69,8 +69,7 @@ class GeoDatabase:
 
     def lookup_prefix(self, prefix: Prefix) -> GeoRecord | None:
         """The record covering the whole prefix, or None."""
-        hit = self._index().covering(prefix)
-        return hit[1] if hit else None
+        return self._index().covering_value(prefix)
 
     def records(self) -> list[tuple[Prefix, GeoRecord]]:
         """All stored (prefix, record) pairs."""

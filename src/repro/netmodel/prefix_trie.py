@@ -138,6 +138,25 @@ class PrefixTrie(Generic[V]):
         length, value = best
         return prefix.truncate(length), value
 
+    def covering_value(self, prefix: Prefix) -> V | None:
+        """The value :meth:`covering` would return, without building the
+        matched :class:`Prefix`."""
+        self._check(prefix)
+        best = self._best_match(prefix.value, prefix.length)
+        return None if best is None else best[1]
+
+    def covering_key(self, prefix: Prefix) -> int | None:
+        """The prefix :meth:`covering` would return, packed as
+        ``network << 8 | length`` (the :meth:`items` sort key), or None.
+        Builds no :class:`Prefix`."""
+        self._check(prefix)
+        best = self._best_match(prefix.value, prefix.length)
+        if best is None:
+            return None
+        length = best[0]
+        shift = self._bits - length
+        return (prefix.value >> shift << shift << 8) | length
+
     def items(self) -> Iterator[tuple[Prefix, V]]:
         """Iterate all (prefix, value) pairs in preorder."""
         # Sort one plain int per entry, network << 8 | length, rather than
@@ -167,6 +186,13 @@ class DualStackTrie(Generic[V]):
     def __len__(self) -> int:
         return len(self._tries[4]) + len(self._tries[6])
 
+    def family(self, version: int) -> PrefixTrie[V]:
+        """The single-version trie holding IPv``version`` prefixes."""
+        trie = self._tries.get(version)
+        if trie is None:
+            raise AddressError(f"IP version must be 4 or 6, got {version}")
+        return trie
+
     def insert(self, prefix: Prefix, value: V) -> None:
         self._tries[prefix.version].insert(prefix, value)
 
@@ -184,6 +210,12 @@ class DualStackTrie(Generic[V]):
 
     def covering(self, prefix: Prefix) -> tuple[Prefix, V] | None:
         return self._tries[prefix.version].covering(prefix)
+
+    def covering_value(self, prefix: Prefix) -> V | None:
+        return self._tries[prefix.version].covering_value(prefix)
+
+    def covering_key(self, prefix: Prefix) -> int | None:
+        return self._tries[prefix.version].covering_key(prefix)
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         yield from self._tries[4].items()

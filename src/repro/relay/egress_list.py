@@ -20,11 +20,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import AddressError, EgressListError
 from repro.netmodel.addr import Prefix
 from repro.netmodel.prefix_trie import DualStackTrie
+
+if TYPE_CHECKING:
+    from repro.netmodel.bgp import Announcement, RoutingTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,12 +68,19 @@ class EgressList:
     aggregate them, so indexing every entry up front would be wasted
     world-build time.  Duplicate detection uses a plain prefix set so
     ``add`` stays O(1).
+
+    The BGP attribution behind the egress tables (:meth:`attributed`) is
+    likewise computed once per routing-table state and shared by every
+    table that reads it.
     """
 
     def __init__(self, entries: Iterable[EgressEntry] = ()) -> None:
         self._entries: list[EgressEntry] = []
         self._prefixes: set[Prefix] = set()
         self._trie: DualStackTrie[EgressEntry] | None = None
+        # (routing table, its version, attributed pairs) of the last
+        # attributed() call; None until the first, and after any add().
+        self._attributed: tuple[RoutingTable, int, tuple] | None = None
         for entry in entries:
             self.add(entry)
 
@@ -80,6 +90,7 @@ class EgressList:
             raise EgressListError(f"duplicate egress prefix {entry.prefix}")
         self._entries.append(entry)
         self._prefixes.add(entry.prefix)
+        self._attributed = None
         if self._trie is not None:
             self._trie.insert(entry.prefix, entry)
 
@@ -107,8 +118,7 @@ class EgressList:
 
     def lookup(self, prefix: Prefix) -> EgressEntry | None:
         """The entry covering ``prefix`` exactly or as a supernet."""
-        hit = self._index().covering(prefix)
-        return hit[1] if hit else None
+        return self._index().covering_value(prefix)
 
     def contains_address(self, address) -> bool:
         """Whether an address falls in any listed egress subnet."""
@@ -121,6 +131,31 @@ class EgressList:
     # ------------------------------------------------------------------
     # Aggregations used by Tables 3/4 and Figures 2/4/5
     # ------------------------------------------------------------------
+
+    def attributed(
+        self, routing: RoutingTable
+    ) -> tuple[tuple[EgressEntry, Announcement], ...]:
+        """``(entry, route)`` for every entry BGP routes, in list order.
+
+        The route is the longest-prefix match of the subnet's network
+        address — the attribution every §4.2 table and the §6 overlap
+        share.  Computed once per (routing table, ``routing.version``);
+        :meth:`add` and any announce/withdraw make it stale.
+        """
+        cached = self._attributed
+        if cached is not None and cached[0] is routing and cached[1] == routing.version:
+            return cached[2]
+        lookup = routing.lookup_value
+        pairs = []
+        append = pairs.append
+        for entry in self._entries:
+            prefix = entry.prefix
+            ann = lookup(prefix.version, prefix.value)
+            if ann is not None:
+                append((entry, ann))
+        out = tuple(pairs)
+        self._attributed = (routing, routing.version, out)
+        return out
 
     def country_codes(self, version: int | None = None) -> set[str]:
         """Distinct country codes across entries."""

@@ -10,17 +10,24 @@ implement real geohashes so that inference is computable.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.netmodel.geo import GeoPoint
 
 _BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 _DECODE = {c: i for i, c in enumerate(_BASE32)}
 
 
+@lru_cache(maxsize=1024)
 def geohash_encode(point: GeoPoint, precision: int = 4) -> str:
     """Encode a point as a geohash of ``precision`` characters.
 
     Precision 4 (cell size roughly 39 km x 19 km) matches the coarse
     region granularity the relay's location-preserving mode exposes.
+
+    Memoised: the relay service encodes the client location on every
+    connection, and a world has a handful of client locations.  The
+    uncached encoder is ``geohash_encode.__wrapped__``.
     """
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RoutingError
+from repro.errors import AddressError, RoutingError
 from repro.netmodel.addr import IPAddress, Prefix
 from repro.netmodel.asn import (
     ASRegistry,
@@ -108,6 +108,32 @@ class TestRoutingTable:
         assert not table.withdraw(Prefix.parse("10.0.0.0/8"))
         assert table.origin_of(IPAddress.parse("10.0.0.1")) is None
         assert table.prefixes_by_origin(100) == []
+
+    def test_lookup_value_shares_the_memo(self):
+        table = RoutingTable()
+        table.announce(Prefix.parse("10.0.0.0/8"), 100)
+        table.announce(Prefix.parse("2001:db8::/32"), 200)
+        v4 = IPAddress.parse("10.1.2.3")
+        v6 = IPAddress.parse("2001:db8::1")
+        # The same integer in both families routes per family.
+        assert table.lookup_value(4, v4.value).origin_asn == 100
+        assert table.lookup_value(6, v4.value) is None
+        assert table.lookup_value(6, v6.value).origin_asn == 200
+        assert table.origin_stats.misses == 3
+        # lookup/origin_of hit the entries lookup_value memoised.
+        assert table.lookup(v4) is table.lookup_value(4, v4.value)
+        assert table.origin_of(v6) == 200
+        assert table.origin_of(IPAddress(6, v4.value)) is None
+        assert table.origin_stats.misses == 3
+        assert table.origin_stats.hits == 4
+        # Announce/withdraw clear both families' memos.
+        table.announce(Prefix.parse("10.1.0.0/16"), 300)
+        assert table.lookup_value(4, v4.value).origin_asn == 300
+        table.withdraw(Prefix.parse("2001:db8::/32"))
+        assert table.lookup_value(6, v6.value) is None
+        assert table.origin_stats.invalidations == 2
+        with pytest.raises(AddressError):
+            table.lookup_value(5, 1)
 
     def test_is_routed(self):
         table = RoutingTable()

@@ -218,7 +218,16 @@ def test_trie_matches_reference_model(scenario):
     assert list(trie.items()) == sorted(table.items(), key=lambda kv: bit_string(kv[0]))
     for prefix in touched:
         assert trie.exact(prefix) == table.get(prefix)
-        assert trie.covering(prefix) == reference_lpm(table, prefix.value, prefix.length)
+        covering = reference_lpm(table, prefix.value, prefix.length)
+        assert trie.covering(prefix) == covering
+        # The value-only and packed-key forms agree with covering().
+        if covering is None:
+            assert trie.covering_value(prefix) is None
+            assert trie.covering_key(prefix) is None
+        else:
+            matched, stored = covering
+            assert trie.covering_value(prefix) == stored
+            assert trie.covering_key(prefix) == matched.value << 8 | matched.length
     bits = 32 if version == 4 else 128
     for value in probes:
         expected = reference_lpm(table, value, bits)
@@ -232,3 +241,6 @@ def test_trie_matches_reference_model(scenario):
     assert list(dual.items()) == list(trie.items())
     for value in probes:
         assert dual.best_value(IPAddress(version, value)) == trie.best_value(value)
+    for prefix in touched:
+        assert dual.covering_value(prefix) == trie.covering_value(prefix)
+        assert dual.covering_key(prefix) == trie.covering_key(prefix)

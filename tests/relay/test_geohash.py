@@ -64,3 +64,21 @@ def test_roundtrip_stable(lat, lon):
     geohash = geohash_encode(point, precision=4)
     # Encoding the decoded centre yields the same cell.
     assert geohash_encode(geohash_decode_center(geohash), precision=4) == geohash
+
+
+@given(
+    st.floats(min_value=-90.0, max_value=90.0),
+    st.floats(min_value=-180.0, max_value=180.0),
+    st.integers(min_value=1, max_value=12),
+)
+def test_memoised_encode_equals_fresh(lat, lon, precision):
+    point = GeoPoint(lat, lon)
+    first = geohash_encode(point, precision)
+    hits = geohash_encode.cache_info().hits
+    # A repeat call is served from the memo and equals a fresh encode.
+    assert geohash_encode(point, precision) == first
+    assert geohash_encode.cache_info().hits == hits + 1
+    assert geohash_encode.__wrapped__(point, precision) == first
+    # Equal points share a memo entry (0.0 == -0.0): it must hold for both.
+    twin = GeoPoint(lat + 0.0, lon + 0.0)
+    assert geohash_encode(twin, precision) == geohash_encode.__wrapped__(twin, precision)
