@@ -4,9 +4,9 @@
 This is the harness that regenerates every table and figure of the
 paper in one pass and prints (or writes) a Markdown report comparing
 each published number against the measured one.  At ``--scale 1.0`` it
-takes 21-28 s wall (median 24 s) with ~510 MB peak RSS on a 2-core x86
-VM; the committed ``EXPERIMENTS.md`` was produced by this script at
-scale 1.0.
+takes 20-23 s wall (median 20 s over seven runs) with ~512 MB peak RSS
+on a 2-core x86 VM; the committed ``EXPERIMENTS.md`` was produced by
+this script at scale 1.0.
 
 Usage::
 

@@ -372,8 +372,9 @@ def _geodb_agreement(egress_list: EgressList, geodb: GeoDatabase) -> float:
     the published mapping — the MaxMind-adoption check."""
     agree = 0
     covered = 0
-    for prefix, record in geodb.records():
-        entry = egress_list.lookup(prefix)
+    lookup = egress_list.covering_value_of
+    for version, network, length, record in geodb.packed_records():
+        entry = lookup(version, network, length)
         if entry is None:
             continue
         covered += 1

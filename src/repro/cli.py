@@ -640,8 +640,9 @@ def main(argv: list[str] | None = None) -> int:
     file-system problems) exit with code 2 and a one-line message — no
     traceback reaches the user for anticipated failure modes.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # No local keeps the parser (a reference cycle) alive: it must be
+    # garbage before a command's build_world collects and freezes.
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ReproError, OSError) as exc:

@@ -12,6 +12,7 @@ space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.netmodel.addr import IPAddress, Prefix
 from repro.netmodel.geo import GeoPoint
@@ -71,9 +72,10 @@ class GeoDatabase:
         """The record covering the whole prefix, or None."""
         return self._index().covering_value(prefix)
 
-    def records(self) -> list[tuple[Prefix, GeoRecord]]:
-        """All stored (prefix, record) pairs."""
-        return list(self._index().items())
+    def packed_records(self) -> Iterator[tuple[int, int, int, GeoRecord]]:
+        """(version, network value, length, record) for every stored
+        prefix, unsorted; builds no :class:`Prefix`."""
+        return self._index().packed_items()
 
     def adoption_rate(self) -> float:
         """Fraction of records sourced from the published egress list.
@@ -82,8 +84,7 @@ class GeoDatabase:
         mapping for most subnets"; worldgen seeds this database so that the
         rate is high, and the analysis layer reports it.
         """
-        records = self.records()
-        if not records:
+        sources = [record.source for *_key, record in self.packed_records()]
+        if not sources:
             return 0.0
-        adopted = sum(1 for _p, r in records if r.source == "egress-list")
-        return adopted / len(records)
+        return sources.count("egress-list") / len(sources)

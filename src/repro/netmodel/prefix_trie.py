@@ -142,7 +142,12 @@ class PrefixTrie(Generic[V]):
         """The value :meth:`covering` would return, without building the
         matched :class:`Prefix`."""
         self._check(prefix)
-        best = self._best_match(prefix.value, prefix.length)
+        return self.covering_value_of(prefix.value, prefix.length)
+
+    def covering_value_of(self, network: int, length: int) -> V | None:
+        """:meth:`covering_value` for a prefix given as its integer
+        network value and length (as :meth:`packed_items` yields it)."""
+        best = self._best_match(network, length)
         return None if best is None else best[1]
 
     def covering_key(self, prefix: Prefix) -> int | None:
@@ -156,6 +161,14 @@ class PrefixTrie(Generic[V]):
         length = best[0]
         shift = self._bits - length
         return (prefix.value >> shift << shift << 8) | length
+
+    def packed_items(self) -> Iterator[tuple[int, int, V]]:
+        """All (network value, length, value) triples, longest length
+        first — :meth:`items` without its sort or a :class:`Prefix` per
+        entry, for walks that do not need preorder."""
+        for length, shift, table in self._probes:
+            for key, value in table.items():
+                yield key << shift, length, value
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         """Iterate all (prefix, value) pairs in preorder."""
@@ -214,8 +227,18 @@ class DualStackTrie(Generic[V]):
     def covering_value(self, prefix: Prefix) -> V | None:
         return self._tries[prefix.version].covering_value(prefix)
 
+    def covering_value_of(self, version: int, network: int, length: int) -> V | None:
+        return self.family(version).covering_value_of(network, length)
+
     def covering_key(self, prefix: Prefix) -> int | None:
         return self._tries[prefix.version].covering_key(prefix)
+
+    def packed_items(self) -> Iterator[tuple[int, int, int, V]]:
+        """(version, network value, length, value) for every entry, IPv4
+        first; see :meth:`PrefixTrie.packed_items`."""
+        for version in (4, 6):
+            for network, length, value in self._tries[version].packed_items():
+                yield version, network, length, value
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         yield from self._tries[4].items()

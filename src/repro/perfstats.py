@@ -19,11 +19,38 @@ The counter *objects* are part of the contract: :meth:`reset` and the
 attribute setters mutate counter values in place and never replace the
 counter objects, so references hoisted by hot loops or adopted by a
 registry stay live for the lifetime of the stats object.
+
+:func:`gc_paused` is the one cyclic-GC pause every hot phase shares
+(world build, the scan kernel, sharded scans, delta rounds); see
+DESIGN.md §5 "GC policy".
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+from typing import Iterator
+
 from repro.telemetry.registry import Counter
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Suspend cyclic GC for a block of acyclic allocations.
+
+    The block's objects are freed by refcounting alone, so the young
+    collections their allocations would set off find nothing.  Nests
+    safely: only the outermost pause re-enables, and a caller that had
+    GC off finds it off afterwards.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class CacheStats:

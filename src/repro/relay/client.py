@@ -119,6 +119,19 @@ class RelayClient:
     #: a handshake timeout is retried a couple of times with backoff
     #: before Safari surfaces an error.
     max_connect_attempts: int = 3
+    #: (address, its text, its fault key), recomputed only when
+    #: ``address`` is reassigned — every connection needs both keys.
+    _keys: tuple[IPAddress, str, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _client_keys(self) -> tuple[str, int]:
+        """The connection key (the address's text) and its fault key."""
+        keys = self._keys
+        if keys is None or keys[0] is not self.address:
+            text = str(self.address)
+            keys = self._keys = (self.address, text, fault_key(text))
+        return keys[1], keys[2]
 
     def resolve_ingress(
         self, protocol: RelayProtocol = RelayProtocol.QUIC, version: int = 4
@@ -176,7 +189,7 @@ class RelayClient:
         attempts = max(1, self.max_connect_attempts)
         registry = self.service.telemetry.registry
         plan = self.service.fault_plan
-        key = fault_key(str(self.address))
+        client_key, key = self._client_keys()
         for attempt in range(1, attempts + 1):
             try:
                 return self.service.connect(
@@ -188,7 +201,7 @@ class RelayClient:
                     target_authority=target_authority,
                     target_port=target_port,
                     preserve_location=self.preserve_location,
-                    client_key=str(self.address),
+                    client_key=client_key,
                     protocol=protocol,
                 )
             except ConnectionFailed:

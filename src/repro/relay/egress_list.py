@@ -120,6 +120,13 @@ class EgressList:
         """The entry covering ``prefix`` exactly or as a supernet."""
         return self._index().covering_value(prefix)
 
+    def covering_value_of(
+        self, version: int, network: int, length: int
+    ) -> EgressEntry | None:
+        """:meth:`lookup` for a prefix given as its integer network value
+        and length; builds no :class:`Prefix`."""
+        return self._index().covering_value_of(version, network, length)
+
     def contains_address(self, address) -> bool:
         """Whether an address falls in any listed egress subnet."""
         return self._index().best_value(address) is not None

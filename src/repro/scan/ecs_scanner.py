@@ -18,7 +18,6 @@ Both prunings can be disabled for the ablation benchmarks.
 
 from __future__ import annotations
 
-import gc
 import time
 from array import array
 from collections import Counter
@@ -43,6 +42,7 @@ from repro.scan.columnar import ColumnarResponses
 from repro.dns.server import AuthoritativeServer
 from repro.netmodel.addr import IPAddress, Prefix
 from repro.netmodel.bgp import RoutingTable
+from repro.perfstats import gc_paused
 from repro.simtime import SimClock
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.registry import DURATION_BUCKETS, SCOPE_BUCKETS
@@ -492,14 +492,6 @@ class EcsScanner:
         stock_handle = (
             getattr(server.handle, "__func__", None) is AuthoritativeServer.handle
         )
-        # Suspend cyclic GC for the scan: the hot loop allocates millions
-        # of acyclic objects (responses, lookup results, record tuples)
-        # that refcounting reclaims on its own, while every generational
-        # collection re-traverses the large world graph.  Restored (and
-        # any cycles collected then) in the finally.
-        was_gc = gc.isenabled()
-        if was_gc:
-            gc.disable()
         plan = settings.fault_plan
         gate = None
         if plan is not None and plan.dns_active:
@@ -508,16 +500,17 @@ class EcsScanner:
             self.heartbeat()
         # repro: allow[DET001] wall-time feeds the telemetry histogram only
         wall_start = time.perf_counter()
-        with self.telemetry.tracer.span("ecs.scan", domain=domain):
-            try:
-                served = stock_handle and self._run_program(
-                    result, domain, rtype, spans, gaps, bucket, gate
-                )
-                if not served:
-                    self._run_slow(result, domain, rtype, spans, gaps, bucket, gate)
-            finally:
-                if was_gc:
-                    gc.enable()
+        # Pause cyclic GC for the scan: the hot loop allocates millions
+        # of acyclic objects (responses, lookup results, record tuples)
+        # that refcounting frees on its own.  The world is frozen out of
+        # the collector, so the pause saves the young collections over
+        # these allocations, not a walk of the world.
+        with gc_paused(), self.telemetry.tracer.span("ecs.scan", domain=domain):
+            served = stock_handle and self._run_program(
+                result, domain, rtype, spans, gaps, bucket, gate
+            )
+            if not served:
+                self._run_slow(result, domain, rtype, spans, gaps, bucket, gate)
         if gate is not None:
             gate.finish(result)
         # Injected waits advance the clock once, here: a shard worker's

@@ -51,12 +51,10 @@ detected within ``refresh_rounds * secondary_stretch``.)
 
 from __future__ import annotations
 
-import gc
 import json
 import time
 from array import array
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -70,6 +68,7 @@ from repro.faults.storage import (
 )
 from repro.scan.checkpoint import payload_crc, quarantine_warning
 from repro.netmodel.addr import IPAddress, Prefix
+from repro.perfstats import gc_paused
 from repro.relay.service import RELAY_DOMAIN_FALLBACK, RELAY_DOMAIN_QUIC
 from repro.scan.columnar import ColumnarResponses
 from repro.scan.ecs_scanner import EcsResponse, EcsScanResult, merge_ranges
@@ -104,25 +103,6 @@ def _row_key(domain: str, value: int) -> int:
     same refresh schedule.
     """
     return _mix64(fault_key(f"{domain}:{value}"))
-
-
-@contextmanager
-def _gc_paused():
-    """Suspend cyclic GC for a block, as ``EcsScanner.scan_ranges`` does.
-
-    A round allocates tens of thousands of acyclic objects (the encoded
-    snapshot rows above all) that refcounting frees on its own, while
-    each generational collection they trigger re-traverses the whole
-    world graph.  Nests safely: only the outermost pause re-enables.
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class BlockColumns:
@@ -799,7 +779,10 @@ class DeltaScanEngine:
 
     def seed(self, domain: str) -> EcsScanResult:
         """Full scan of one domain, remembered as the baseline snapshot."""
-        with _gc_paused():
+        # Seeds and rounds allocate tens of thousands of acyclic objects
+        # (the encoded snapshot rows above all) that refcounting frees;
+        # the pause spares the young collections they would set off.
+        with gc_paused():
             return self._seed(domain)
 
     def _seed(self, domain: str) -> EcsScanResult:
@@ -889,7 +872,7 @@ class DeltaScanEngine:
 
     def run_round(self) -> DeltaRound:
         """One monitoring round across all domains under the budget."""
-        with _gc_paused():
+        with gc_paused():
             return self._run_round()
 
     def _run_round(self) -> DeltaRound:

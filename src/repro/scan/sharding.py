@@ -78,7 +78,7 @@ from repro.dns.ratelimit import TokenBucket
 from repro.dns.rr import RRType
 from repro.dns.server import ServerStats
 from repro.netmodel.addr import IPAddress, Prefix
-from repro.perfstats import CacheStats
+from repro.perfstats import CacheStats, gc_paused
 from repro.scan.columnar import ColumnarResponses
 from repro.scan.ecs_scanner import (
     EcsResponse,
@@ -483,9 +483,8 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
             os._exit(70)
     # Shard workers only ever run scans: their allocations (responses,
     # columnar encodings) are acyclic and freed per task by refcounting,
-    # while every cyclic-GC generation collection would re-traverse the
-    # forked world copy.  Keep the collector off for the process's
-    # lifetime, not just inside scan_ranges.
+    # so no collection finds anything.  Keep the collector off for the
+    # process's lifetime, not just inside scan_ranges.
     gc.disable()
     server = scanner.server
     scanner.clock.reset_to(task.start_time)
@@ -731,36 +730,14 @@ class ShardedCampaignExecutor:
         if self.workers <= 1 or not self.supported():
             return scanner.scan(domain, rtype)
         self._refresh_if_stale(domain)
-        settings = scanner.settings
-        if settings.prune_unrouted:
+        if scanner.settings.prune_unrouted:
             spans, gaps = scanner.routed_ranges()
         else:
             spans, gaps = [(0, _SPACE_END - 1)], []
         plans = plan_shards(spans, gaps, self.workers, self._alignment())
         if len(plans) <= 1:
             return scanner.scan_ranges(domain, spans, gaps, rtype)
-        start_time = scanner.clock.now
-        seed = settings.campaign_seed
-        # Same GC suspension as scan_ranges, for the whole sharded scan:
-        # the executor's result thread unpickles large shard outcomes
-        # while we wait, and a generational collection triggered by those
-        # allocations re-traverses every live world in the parent.
-        was_gc = gc.isenabled()
-        if was_gc:
-            gc.disable()
-        try:
-            with scanner.telemetry.tracer.span(
-                "ecs.scan.sharded", domain=domain, shards=len(plans)
-            ):
-                outcomes = self._gather(domain, rtype, start_time, seed, plans)
-                return self._merge(domain, rtype, start_time, outcomes)
-        finally:
-            if was_gc:
-                gc.enable()
-            # Adoption and crash recovery unlink as they go; anything
-            # still tracked here (e.g. an error between gather and
-            # merge) is orphaned — unlink it now.  No-op on success.
-            self._sweep_segments()
+        return self._scan_sharded(domain, rtype, plans)
 
     def scan_regions(
         self,
@@ -789,20 +766,31 @@ class ShardedCampaignExecutor:
         plans = plan_shards(spans, gaps, self.workers, self._alignment())
         if len(plans) <= 1:
             return scanner.scan_ranges(domain, spans, gaps, rtype)
+        return self._scan_sharded(domain, rtype, plans)
+
+    def _scan_sharded(
+        self, domain: str, rtype: RRType, plans: list[ShardPlan]
+    ) -> EcsScanResult:
+        """Gather and merge the shards of one planned scan.
+
+        Cyclic GC is paused as in ``scan_ranges``: the executor's result
+        thread unpickles large shard outcomes while we wait, and those
+        acyclic allocations would otherwise set off young collections
+        (the world itself is frozen out of the collector).
+        """
+        scanner = self.scanner
         start_time = scanner.clock.now
         seed = scanner.settings.campaign_seed
-        was_gc = gc.isenabled()
-        if was_gc:
-            gc.disable()
         try:
-            with scanner.telemetry.tracer.span(
+            with gc_paused(), scanner.telemetry.tracer.span(
                 "ecs.scan.sharded", domain=domain, shards=len(plans)
             ):
                 outcomes = self._gather(domain, rtype, start_time, seed, plans)
                 return self._merge(domain, rtype, start_time, outcomes)
         finally:
-            if was_gc:
-                gc.enable()
+            # Adoption and crash recovery unlink as they go; anything
+            # still tracked here (e.g. an error between gather and
+            # merge) is orphaned — unlink it now.  No-op on success.
             self._sweep_segments()
 
     def _gather(

@@ -64,20 +64,24 @@ def instrument_world(telemetry, world) -> None:
     _adopt_cache(registry, intern_stats, cache="name_intern")
     _adopt_cache(registry, world.routing.origin_stats, cache="origin_memo")
 
-    service = world.service
-    counters = service._pod_counters
+    # The collector holds the parts it reads, never the world: the world
+    # holds the registry (through the relay service's telemetry), and a
+    # reference back would close a cycle that refcounting cannot free.
+    counters = world.service._pod_counters
+    clock = world.clock
+    ingress_v4, ingress_v6 = world.ingress_v4, world.ingress_v6
 
     def collect(reg) -> None:
         reg.gauge("relay.rotation_advances").set(
             sum(value - counters.base for value in counters.values())
         )
-        now = world.clock.now
+        now = clock.now
         reg.gauge("world.sim_time_seconds").set(now)
         reg.gauge("relay.ingress_active", version="4").set(
-            len(world.ingress_v4.active(now))
+            len(ingress_v4.active(now))
         )
         reg.gauge("relay.ingress_active", version="6").set(
-            len(world.ingress_v6.active(now))
+            len(ingress_v6.active(now))
         )
 
     registry.add_collector(collect)

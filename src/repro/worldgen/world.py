@@ -15,6 +15,7 @@ tests and benchmarks run the paper's measurement pipeline:
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from repro.netmodel.bgp import BgpHistory
 from repro.netmodel.geo import GeoPoint
 from repro.netmodel.geodb import GeoDatabase
 from repro.netmodel.topology import Topology
+from repro.perfstats import gc_paused
 from repro.relay.client import DnsConfig, RelayClient
 from repro.relay.egress import EgressFleet
 from repro.relay.egress_list import EgressList
@@ -196,7 +198,25 @@ def build_world(
     relay service reports connection-plane counters, and the world's
     existing stats counters are adopted into the metrics registry
     (:func:`~repro.worldgen.instrument.instrument_world`).
+
+    The world is built with cyclic GC paused and then frozen
+    (:func:`gc.freeze`): its object graph is acyclic and lives as long
+    as the caller holds it, so later collections walk only objects
+    created after the build, and refcounting still frees a dropped
+    world (DESIGN.md §5 "GC policy").
     """
+    # The freeze pins everything alive at that moment, the caller's
+    # objects included; reclaim the caller's cyclic garbage first, or it
+    # could never be collected.  This walks only objects not yet frozen,
+    # never an earlier world.
+    gc.collect()
+    with gc_paused():
+        world = _assemble_world(config, telemetry)
+        gc.freeze()
+    return world
+
+
+def _assemble_world(config: WorldConfig | None, telemetry: Telemetry | None) -> World:
     config = config or WorldConfig()
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     tracer = telemetry.tracer

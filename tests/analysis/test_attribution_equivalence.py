@@ -166,8 +166,8 @@ def oracle_egress_facts(egress_list, routing, jan_list=None, geodb=None):
         for entry in egress_list:
             trie.insert(entry.prefix, entry)
         agree = covered = 0
-        for prefix, record in geodb.records():
-            hit = trie.covering(prefix)
+        for version, network, length, record in geodb.packed_records():
+            hit = trie.covering(Prefix(version, network, length))
             if hit is None:
                 continue
             covered += 1

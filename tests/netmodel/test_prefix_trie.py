@@ -216,6 +216,9 @@ def test_trie_matches_reference_model(scenario):
 
     assert len(trie) == len(table)
     assert list(trie.items()) == sorted(table.items(), key=lambda kv: bit_string(kv[0]))
+    assert sorted(trie.packed_items()) == sorted(
+        (p.value, p.length, v) for p, v in table.items()
+    )
     for prefix in touched:
         assert trie.exact(prefix) == table.get(prefix)
         covering = reference_lpm(table, prefix.value, prefix.length)
@@ -228,6 +231,9 @@ def test_trie_matches_reference_model(scenario):
             matched, stored = covering
             assert trie.covering_value(prefix) == stored
             assert trie.covering_key(prefix) == matched.value << 8 | matched.length
+        assert trie.covering_value_of(prefix.value, prefix.length) == (
+            trie.covering_value(prefix)
+        )
     bits = 32 if version == 4 else 128
     for value in probes:
         expected = reference_lpm(table, value, bits)
@@ -239,8 +245,14 @@ def test_trie_matches_reference_model(scenario):
     for prefix, stored in table.items():
         dual.insert(prefix, stored)
     assert list(dual.items()) == list(trie.items())
+    assert sorted(dual.packed_items()) == sorted(
+        (version, *triple) for triple in trie.packed_items()
+    )
     for value in probes:
         assert dual.best_value(IPAddress(version, value)) == trie.best_value(value)
     for prefix in touched:
         assert dual.covering_value(prefix) == trie.covering_value(prefix)
         assert dual.covering_key(prefix) == trie.covering_key(prefix)
+        assert dual.covering_value_of(
+            version, prefix.value, prefix.length
+        ) == trie.covering_value(prefix)

@@ -212,6 +212,15 @@ class TestRelayClient:
         obs = client.request(world.web_server)
         assert obs.protocol == RelayProtocol.TCP_FALLBACK
 
+    def test_connection_key_follows_reassigned_address(self, tiny_world):
+        world = tiny_world
+        client = world.make_vantage_client()
+        client.request(world.web_server)
+        moved = world.ground.vantage_prefix.address_at(250)
+        client.address = moved
+        client.request(world.web_server)
+        assert str(moved) in world.service._operator_state
+
     def test_parallel_requests(self, tiny_world):
         world = tiny_world
         client = world.make_vantage_client()

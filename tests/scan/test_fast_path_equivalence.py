@@ -207,7 +207,12 @@ def _overridden_handle(world):
     server = world.route53
     handle = server.handle
     server.handle = lambda query, source_address=None: handle(query, source_address)
-    return _scan(world)
+    try:
+        return _scan(world)
+    finally:
+        # The override closes a reference cycle through the frozen
+        # server: drop it, or the world is never collected.
+        del server.handle
 
 
 def _answer_cache_off(world):
