@@ -51,7 +51,9 @@ detected within ``refresh_rounds * secondary_stretch``.)
 
 from __future__ import annotations
 
+import base64
 import json
+import sys
 import time
 from array import array
 from bisect import bisect_left, bisect_right
@@ -74,9 +76,13 @@ from repro.scan.columnar import ColumnarResponses
 from repro.scan.ecs_scanner import EcsResponse, EcsScanResult, merge_ranges
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
-#: Bump when the snapshot layout changes; mismatched files are treated
-#: as absent (the domain is simply re-seeded), not as errors.
-SNAPSHOT_VERSION = 1
+#: Bump when the snapshot layout changes; files of a version the store
+#: cannot read are treated as absent (the domain is simply re-seeded),
+#: not as errors.  Version 2 packs the columns as bytes; the store still
+#: reads version 1 (one JSON list per row), so an upgraded monitor
+#: resumes instead of re-running the seeding full scan.
+SNAPSHOT_VERSION = 2
+READABLE_VERSIONS = (1, SNAPSHOT_VERSION)
 
 #: Detection-latency histogram bounds, in rounds.
 DETECTION_BOUNDS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -459,27 +465,48 @@ class DomainSnapshot:
 # ----------------------------------------------------------------------
 
 
-def encode_snapshot(snapshot: DomainSnapshot) -> dict:
-    """One domain snapshot as a JSON-safe dict.
+#: Every column the persisted document carries, per column group (the
+#: wheel ``keys`` are recomputed on load, not persisted).
+_ROW_COLUMNS = tuple(zip(BlockColumns.NAMES, BlockColumns.TYPECODES))[:-1]
+_SPARSE_COLUMNS = tuple(zip(SparseColumns.NAMES, SparseColumns.TYPECODES))
+_BIG_ENDIAN = sys.byteorder == "big"
 
-    Written straight from the columns.  Answer windows are deduplicated
-    into a table of address lists in first-use order over the rows, then
-    the sparse rows (the answer AS is stored per row); rosters are
-    compacted to their union-find roots in first-use order, so the
-    encoding is independent of merge history.
+
+def _pack(column: array) -> str:
+    """One column as base64 of its little-endian item bytes."""
+    if _BIG_ENDIAN:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def _unpack(typecode: str, text: str) -> array:
+    """Inverse of :func:`_pack`.  A byte count that splits an item
+    raises ``ValueError`` (from ``frombytes``), as does bad base64."""
+    column = array(typecode)
+    column.frombytes(base64.b64decode(text, validate=True))
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
+
+
+def encode_snapshot(snapshot: DomainSnapshot) -> dict:
+    """One domain snapshot as a JSON-safe dict (format version 2).
+
+    The header scalars, spans, gaps, window table and rosters are plain
+    JSON; the row and sparse columns are each one base64 string of
+    packed little-endian array bytes.  The window table is written as it
+    stands — each entry's addresses and answer AS — so the ``refs``
+    columns need no remap; the engine compacts it after every change,
+    which puts it in first-use order over the rows, then the sparse
+    rows.  Rosters are compacted to their union-find roots in first-use
+    order, so the encoding is independent of merge history.
     """
     rows, sparse, windows = snapshot.rows, snapshot.sparse_rows, snapshot.windows
-    table_index: dict[tuple, int] = {}
-    table: list = []
-    table_ref = [0] * len(windows)
-    window_pairs = windows.pairs
-    for ref in dict.fromkeys(chain(rows.refs, sparse.refs)):
-        pairs = window_pairs[ref]
-        position = table_index.get(pairs)
-        if position is None:
-            position = table_index[pairs] = len(table)
-            table.append([list(pair) for pair in pairs])
-        table_ref[ref] = position
+    table = [
+        [[list(pair) for pair in pairs], entry[1]]
+        for pairs, entry in zip(windows.pairs, windows.entries)
+    ]
     roster_index: dict[int, int] = {}
     roster_of: dict[int, int] = {}
     rosters: list = []
@@ -492,34 +519,8 @@ def encode_snapshot(snapshot: DomainSnapshot) -> dict:
                 sorted([a.version, a.value] for a in snapshot.rosters[root])
             )
         roster_of[rid] = position
-    asn_of = [entry[1] for entry in windows.entries].__getitem__
-    table_of = table_ref.__getitem__
-    encoded_rows = list(
-        map(
-            list,
-            zip(
-                rows.values,
-                rows.scopes,
-                map(table_of, rows.refs),
-                map(asn_of, rows.refs),
-                map(roster_of.__getitem__, rows.rids),
-                rows.refreshed,
-                rows.changed,
-                rows.weights,
-            ),
-        )
-    )
-    encoded_sparse = list(
-        map(
-            list,
-            zip(
-                sparse.values,
-                sparse.scopes,
-                map(table_of, sparse.refs),
-                map(asn_of, sparse.refs),
-            ),
-        )
-    )
+    row_columns = {name: getattr(rows, name) for name, _ in _ROW_COLUMNS}
+    row_columns["rids"] = array("I", map(roster_of.__getitem__, rows.rids))
     return {
         "domain": snapshot.domain,
         "source_len": snapshot.source_len,
@@ -527,17 +528,24 @@ def encode_snapshot(snapshot: DomainSnapshot) -> dict:
         "seeded_at": snapshot.seeded_at,
         "spans": [list(span) for span in snapshot.spans],
         "gaps": [list(gap) for gap in snapshot.gaps],
-        "table": table,
-        "rows": encoded_rows,
-        "sparse": encoded_sparse,
+        "windows": table,
+        "rows": {name: _pack(column) for name, column in row_columns.items()},
+        "sparse": {name: _pack(getattr(sparse, name)) for name in sparse.NAMES},
         "rosters": rosters,
         "sparse_positions": snapshot.sparse_positions,
         "window_max": snapshot.window_max,
     }
 
 
-def decode_snapshot(data: dict) -> DomainSnapshot:
-    """Rebuild a :func:`encode_snapshot` snapshot (wheel keys recomputed)."""
+def decode_snapshot(data: dict, version: int = SNAPSHOT_VERSION) -> DomainSnapshot:
+    """Rebuild an :func:`encode_snapshot` snapshot (wheel keys recomputed).
+
+    ``version`` is the document's format version: 2 is what
+    :func:`encode_snapshot` writes, 1 the earlier per-row list layout.
+    A malformed document raises ``ValueError`` (or the ``LookupError`` /
+    ``TypeError`` of a missing or mistyped field) instead of building a
+    snapshot whose columns disagree.
+    """
     domain = data["domain"]
     snapshot = DomainSnapshot(
         domain=domain,
@@ -549,18 +557,59 @@ def decode_snapshot(data: dict) -> DomainSnapshot:
         sparse_positions=data["sparse_positions"],
         window_max=data["window_max"],
     )
+    for pairs in data["rosters"]:
+        rid = len(snapshot.rosters)
+        roster = {IPAddress(*pair) for pair in pairs}
+        snapshot.rosters.append(roster)
+        snapshot.parent.append(rid)
+        for address in roster:
+            snapshot.addr_rid[address] = rid
+    if version == 1:
+        _decode_rows_v1(snapshot, data)
+    else:
+        _decode_columns(snapshot, data)
+    snapshot.compact()
+    return snapshot
+
+
+def _decode_columns(snapshot: DomainSnapshot, data: dict) -> None:
+    """The version-2 window table and packed columns, validated."""
+    intern = snapshot.windows.intern
+    for pairs, asn in data["windows"]:
+        pairs = tuple((version, value) for version, value in pairs)
+        intern(tuple(IPAddress(*pair) for pair in pairs), asn, pairs)
+    if len(snapshot.windows) != len(data["windows"]):
+        raise ValueError("window table lists an entry twice")
+    groups = {
+        label: [_unpack(code, data[label][name]) for name, code in names]
+        for label, names in (("rows", _ROW_COLUMNS), ("sparse", _SPARSE_COLUMNS))
+    }
+    for label, columns in groups.items():
+        values, refs = columns[0], columns[2]
+        if any(len(column) != len(values) for column in columns):
+            raise ValueError(f"{label} columns differ in length")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError(f"{label} values are not strictly increasing")
+        if refs and max(refs) >= len(snapshot.windows):
+            raise ValueError(f"{label} refs point past the window table")
+    rows = groups["rows"]
+    rids = rows[3]
+    if rids and max(rids) >= len(snapshot.rosters):
+        raise ValueError("rows rids point past the roster list")
+    domain = snapshot.domain
+    keys = array("Q", [_row_key(domain, value) for value in rows[0]])
+    snapshot.rows = BlockColumns(*rows, keys)
+    snapshot.sparse_rows = SparseColumns(*groups["sparse"])
+
+
+def _decode_rows_v1(snapshot: DomainSnapshot, data: dict) -> None:
+    """The version-1 layout: a window table of address lists deduped by
+    content, and one JSON list per row carrying the answer AS."""
     pairs_of = [tuple(map(tuple, pairs)) for pairs in data["table"]]
     windows = [
         tuple(IPAddress(version, value) for version, value in pairs)
         for pairs in pairs_of
     ]
-    for pairs in data["rosters"]:
-        rid = len(snapshot.rosters)
-        roster = {IPAddress(version, value) for version, value in pairs}
-        snapshot.rosters.append(roster)
-        snapshot.parent.append(rid)
-        for address in roster:
-            snapshot.addr_rid[address] = rid
     intern = snapshot.windows.intern
 
     def window_refs(table_refs, asns) -> array:
@@ -571,6 +620,7 @@ def decode_snapshot(data: dict) -> DomainSnapshot:
         }
         return array("I", map(ref_of.__getitem__, keys))
 
+    domain = snapshot.domain
     rows = data["rows"]
     if rows:
         values, scopes, refs, asns, rids, refreshed, changed, weights = zip(*rows)
@@ -590,8 +640,6 @@ def decode_snapshot(data: dict) -> DomainSnapshot:
         snapshot.sparse_rows = SparseColumns(
             array("I", values), array("B", scopes), window_refs(refs, asns)
         )
-    snapshot.compact()
-    return snapshot
 
 
 class SnapshotStore:
@@ -599,8 +647,8 @@ class SnapshotStore:
 
     Same contract as :class:`~repro.scan.checkpoint.CampaignCheckpointer`:
     temp file + ``os.replace`` so a kill mid-write never leaves a torn
-    snapshot; missing/torn/version-mismatched files read as None (the
-    domain is re-seeded); a *fingerprint* mismatch raises
+    snapshot; missing, torn, malformed or unreadable-version files read
+    as None (the domain is re-seeded); a *fingerprint* mismatch raises
     :class:`~repro.errors.CheckpointError` — resuming a delta loop
     against different result-affecting settings (or a different campaign
     mode) would silently corrupt the accumulated state.
@@ -665,7 +713,8 @@ class SnapshotStore:
         if not isinstance(document, dict):
             quarantine_warning(path, "not a JSON object")
             return None
-        if document.get("version") != SNAPSHOT_VERSION:
+        version = document.get("version")
+        if version not in READABLE_VERSIONS:
             return None
         crc = document.get("crc")
         if crc is not None and crc != payload_crc(document):
@@ -677,7 +726,13 @@ class SnapshotStore:
                 "result-affecting settings (or campaign mode); refusing "
                 "to resume from it"
             )
-        return decode_snapshot(document)
+        try:
+            return decode_snapshot(document, version)
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            # Intact bytes, inconsistent content: a writer bug or a
+            # hand-edited file.  Same recovery as a torn one.
+            quarantine_warning(path, f"malformed snapshot ({exc})")
+            return None
 
 
 # ----------------------------------------------------------------------
@@ -779,9 +834,12 @@ class DeltaScanEngine:
 
     def seed(self, domain: str) -> EcsScanResult:
         """Full scan of one domain, remembered as the baseline snapshot."""
-        # Seeds and rounds allocate tens of thousands of acyclic objects
-        # (the encoded snapshot rows above all) that refcounting frees;
-        # the pause spares the young collections they would set off.
+        # Seeds and rounds allocate thousands of acyclic containers that
+        # refcounting frees: above all the ~7k region tuples per domain
+        # that _coverage_ranges and merge_ranges build each round, and
+        # the windows interned at seed.  The pause spares the young
+        # collections they would set off (scale 0.05, gc.callbacks:
+        # ~9 per round and ~5 per domain seed, about 1.5 ms and 2.5 ms).
         with gc_paused():
             return self._seed(domain)
 

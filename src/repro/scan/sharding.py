@@ -90,6 +90,9 @@ from repro.telemetry.registry import DURATION_BUCKETS
 
 _SPACE_END = 1 << 32
 
+#: Where Linux mounts the POSIX shared-memory namespace.
+SHM_DIR = "/dev/shm"
+
 #: Per-shard rotation stream derivation (splitmix-style multipliers):
 #: distinct shards start their rotation rings at well-separated offsets,
 #: so the union of shard windows covers the relay pools at least as
@@ -1045,6 +1048,17 @@ class ShardedCampaignExecutor:
         try:
             segment = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:
+            return
+        except ValueError:
+            # Created but never sized (the worker died between shm_open
+            # and ftruncate): an empty segment cannot be mapped.  It was
+            # never registered with the resource tracker either (that
+            # follows the mapping), so unlinking the name is all that is
+            # left to do — through the POSIX shm namespace's mount.
+            try:
+                os.unlink(os.path.join(SHM_DIR, name))
+            except FileNotFoundError:
+                pass
             return
         segment.close()
         # unlink() also drops the name from the resource tracker — which

@@ -11,7 +11,9 @@ The engine's contract, tested end to end on tiny worlds:
 * the delta-accumulated state stays digest-identical to a fresh full
   rescan of the (churned) world, at every worker count;
 * snapshots round-trip through the store, refuse fingerprint
-  mismatches, and read as None when torn.
+  mismatches, and read as None when torn or malformed; version-1 files
+  still load, and every state re-encodes to the same version-1
+  reference document (``snapshot_v1.py``).
 
 Per-response address *windows* are never asserted across worker
 counts: sharded rounds reseed rotation streams per shard, so windows
@@ -19,8 +21,11 @@ may differ while every analysis-visible aggregate matches (the same
 carve-out as the sharded-equivalence suite).
 """
 
+import base64
 import json
+import shutil
 import zlib
+from array import array
 from pathlib import Path
 
 import pytest
@@ -41,6 +46,7 @@ from repro.scan.incremental import (
 from repro.scan.sharding import ShardedCampaignExecutor
 from repro.worldgen import WorldConfig, build_world
 from repro.worldgen.deployment import DeploymentChurn, scan_time
+from tests.scan.snapshot_v1 import encode_snapshot as encode_v1
 
 SEED = 2022
 DOMAINS = (RELAY_DOMAIN_QUIC, RELAY_DOMAIN_FALLBACK)
@@ -428,7 +434,7 @@ def _round_record(rnd):
 def _state_crc(snapshot):
     return zlib.crc32(
         json.dumps(
-            encode_snapshot(snapshot), sort_keys=True, separators=(",", ":")
+            encode_v1(snapshot), sort_keys=True, separators=(",", ":")
         ).encode()
     )
 
@@ -506,8 +512,10 @@ class TestListResultIntake:
 
 
 class TestSnapshotFormatFixture:
-    """Snapshots written by the row-object engine still decode, and
-    re-encode to the identical document and checksum."""
+    """Snapshots written by the row-object engine (format version 1)
+    still load, re-encode through the version-1 reference to the
+    identical document and checksum, and migrate to version 2 on the
+    next save."""
 
     FILES = sorted((DATA / "snapshots-2022").glob("snapshot-*.json"))
 
@@ -517,13 +525,13 @@ class TestSnapshotFormatFixture:
     @pytest.mark.parametrize("path", FILES, ids=lambda path: path.name)
     def test_reencodes_byte_identically(self, path):
         document = json.loads(path.read_text())
-        assert document["version"] == SNAPSHOT_VERSION == 1
-        snapshot = decode_snapshot(document)
+        assert document["version"] == 1
+        snapshot = decode_snapshot(document, version=1)
         assert len(snapshot.rows) == len(document["rows"]) > 0
         reencoded = {
-            "version": SNAPSHOT_VERSION,
+            "version": 1,
             "fingerprint": document["fingerprint"],
-            **encode_snapshot(snapshot),
+            **encode_v1(snapshot),
         }
         reencoded["crc"] = payload_crc(reencoded)
         assert reencoded == document
@@ -539,3 +547,163 @@ class TestSnapshotFormatFixture:
             snapshot = store.load(domain)
             assert snapshot is not None
             assert snapshot.round == 3
+
+    def test_v1_file_migrates_to_v2_on_save(self, tmp_path):
+        fingerprint = json.loads(self.FILES[0].read_text())["fingerprint"]
+        for path in self.FILES:
+            shutil.copy(path, tmp_path / path.name)
+        store = SnapshotStore(tmp_path, fingerprint)
+        for domain in DOMAINS:
+            original = json.loads(store.path_for(domain).read_text())
+            expected = {
+                key: value
+                for key, value in original.items()
+                if key not in ("version", "fingerprint", "crc")
+            }
+            snapshot = store.load(domain)
+            assert encode_v1(snapshot) == expected
+            store.save(snapshot)
+            written = json.loads(store.path_for(domain).read_text())
+            assert written["version"] == SNAPSHOT_VERSION == 2
+            assert written["crc"] == payload_crc(written)
+            assert encode_v1(store.load(domain)) == expected
+
+
+class TestSnapshotRoundTrip:
+    """Version-2 round trips lose nothing the version-1 reference
+    encodes, on every pinned world, steady and after churn, with and
+    without a budget (whose deferrals leave refresh rounds uneven)."""
+
+    @pytest.mark.parametrize("budget", [None, 150])
+    @pytest.mark.parametrize("seed", [2022, 2023, 2024, 2025])
+    def test_decode_encode_preserves_reference_document(
+        self, tmp_path, seed, budget
+    ):
+        store = SnapshotStore(tmp_path, {"seed": seed, "budget": budget})
+        world, executor, engine = _make_engine(
+            seed=seed, store=store, budget=budget, refresh_rounds=3
+        )
+        engine.ensure_seeded()
+        engine.run_round()
+        self._assert_round_trips(engine, store)
+        DeploymentChurn(
+            world.assignment, world.ingress_v4, world.clock.now
+        ).inject_standard(seed=seed)
+        engine.run_round()
+        engine.run_round()
+        self._assert_round_trips(engine, store)
+        # A snapshot edited since its last compaction (here: its first
+        # and last rows dropped) still encodes to the reference state.
+        for snapshot in engine.snapshots.values():
+            rows = snapshot.rows
+            snapshot.rows = rows.take([(1, len(rows) - 1)])
+            reference = encode_v1(snapshot)
+            assert encode_v1(decode_snapshot(encode_snapshot(snapshot))) == reference
+        _close(executor)
+
+    @staticmethod
+    def _assert_round_trips(engine, store):
+        for domain in DOMAINS:
+            snapshot = engine.snapshots[domain]
+            reference = encode_v1(snapshot)
+            assert reference["rows"] and reference["table"]
+            document = encode_snapshot(snapshot)
+            assert encode_v1(decode_snapshot(document)) == reference
+            resumed = store.load(domain)
+            assert encode_snapshot(resumed) == document
+            assert encode_v1(resumed) == reference
+
+
+def _column(document, group, name, typecode):
+    column = array(typecode)
+    column.frombytes(base64.b64decode(document[group][name]))
+    return column
+
+
+def _set_column(document, group, name, column):
+    document[group][name] = base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def _odd_byte_count(document):
+    values = _column(document, "rows", "values", "B")
+    _set_column(document, "rows", "values", values + array("B", [0]))
+
+
+def _short_row_column(document):
+    scopes = _column(document, "rows", "scopes", "B")
+    _set_column(document, "rows", "scopes", scopes[:-1])
+
+
+def _short_sparse_column(document):
+    refs = _column(document, "sparse", "refs", "I")
+    _set_column(document, "sparse", "refs", refs[:-1])
+
+
+def _ref_past_windows(document):
+    refs = _column(document, "rows", "refs", "I")
+    refs[len(refs) // 2] = len(document["windows"])
+    _set_column(document, "rows", "refs", refs)
+
+
+def _sparse_ref_past_windows(document):
+    refs = _column(document, "sparse", "refs", "I")
+    refs[0] = len(document["windows"]) + 7
+    _set_column(document, "sparse", "refs", refs)
+
+
+def _rid_past_rosters(document):
+    rids = _column(document, "rows", "rids", "I")
+    rids[-1] = len(document["rosters"])
+    _set_column(document, "rows", "rids", rids)
+
+
+def _values_repeat(document):
+    values = _column(document, "rows", "values", "I")
+    values[1] = values[0]
+    _set_column(document, "rows", "values", values)
+
+
+def _values_descend(document):
+    values = _column(document, "sparse", "values", "I")
+    values[0], values[1] = values[1], values[0]
+    _set_column(document, "sparse", "values", values)
+
+
+class TestMalformedV2Quarantine:
+    """A version-2 file whose crc holds but whose columns disagree is
+    quarantined (one warning line, re-seed), never decoded into a bad
+    snapshot.  Each case recomputes the crc, so the column validation —
+    not the checksum — is what rejects it."""
+
+    FIXTURE = DATA / "snapshots-2022" / "snapshot-mask.icloud.com.json"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _odd_byte_count,
+            _short_row_column,
+            _short_sparse_column,
+            _ref_past_windows,
+            _sparse_ref_past_windows,
+            _rid_past_rosters,
+            _values_repeat,
+            _values_descend,
+        ],
+        ids=lambda corrupt: corrupt.__name__.strip("_"),
+    )
+    def test_inconsistent_columns_are_quarantined(self, tmp_path, capsys, corrupt):
+        fixture = json.loads(self.FIXTURE.read_text())
+        store = SnapshotStore(tmp_path, fixture["fingerprint"])
+        snapshot = decode_snapshot(fixture, version=1)
+        store.save(snapshot)
+        path = store.path_for(snapshot.domain)
+        document = json.loads(path.read_text())
+        assert store.load(snapshot.domain) is not None
+        corrupt(document)
+        document["crc"] = payload_crc(document)
+        path.write_text(json.dumps(document))
+        assert store.load(snapshot.domain) is None
+        err = capsys.readouterr().err
+        assert "quarantined" in err and "malformed snapshot" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

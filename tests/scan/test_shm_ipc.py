@@ -24,7 +24,7 @@ import pytest
 from repro.faults import FaultPlan
 from repro.relay.service import RELAY_DOMAIN_QUIC
 from repro.scan.ecs_scanner import EcsScanner, EcsScanSettings
-from repro.scan.sharding import ShardedCampaignExecutor, shared_memory
+from repro.scan.sharding import SHM_DIR, ShardedCampaignExecutor, shared_memory
 from repro.worldgen import WorldConfig, build_world
 
 pytestmark = pytest.mark.skipif(
@@ -33,7 +33,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 SEED = 2022
-SHM_DIR = "/dev/shm"
 
 
 def _executor(plan=None, workers=4):
@@ -88,6 +87,26 @@ class TestSegmentLifecycle:
             assert _linked_segments() == []
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+        finally:
+            executor.close()
+
+    def test_cleanup_segment_unlinks_an_unsized_segment(self):
+        # A worker killed between shm_open and ftruncate leaves a linked
+        # zero-byte segment, which cannot be attached (mmap refuses an
+        # empty file); the sweep must still unlink it, quietly.
+        if not os.path.isdir(SHM_DIR):
+            pytest.skip("no /dev/shm to inspect")
+        executor = _executor()
+        try:
+            name = executor._allocate_segment_name(2, 0)
+            fd = os.open(
+                os.path.join(SHM_DIR, name), os.O_CREAT | os.O_EXCL | os.O_RDWR
+            )
+            os.close(fd)
+            assert _linked_segments() == [name]
+            executor._cleanup_segment(name)
+            assert name not in executor._live_segments
+            assert _linked_segments() == []
         finally:
             executor.close()
 
