@@ -16,6 +16,14 @@ False``) also makes :meth:`ScopeAnswerCache.replay_program` refuse, so
 the scanner runs its message-level reference path: the oracle the
 kernel equivalence suites diff against.
 
+Replay programs, the batch-replay kernel's input, are cached beside the
+plans under the same token.  A program is a slice of the zone's answer
+partition plus the current epoch's answer specs.  The relay zone's
+partition belongs to its assignment map and is built once per map
+version (:meth:`repro.relay.service.AssignmentMap.answer_partition`):
+a deployment-epoch change leaves the map alone, so it drops the cached
+programs but rebuilds only their specs, one per distinct answer.
+
 Staleness is impossible by keying on the zone's epoch token
 (:meth:`~repro.dns.zone.Zone.epoch_token`): zone content version plus
 registered epoch sources such as relay-fleet deployment epochs, which in
@@ -66,7 +74,7 @@ class _NameEntry:
 
 
 class ReplayProgram:
-    """One compiled answer program for a (qname, rtype, range, epoch).
+    """One answer program for a (qname, rtype, range, epoch).
 
     Flat columns over the range ``[lo, hi]``, covered contiguously in
     ascending address order:
@@ -74,45 +82,43 @@ class ReplayProgram:
     * ``row_starts`` / ``row_ends`` — ``array('I')`` span bounds
       (inclusive) per row;
     * ``row_answer`` — ``array('I')`` index into :attr:`answers` per row;
-    * ``row_scopes`` — ``array('B')`` declared scope per row (255 encodes
-      "no override": the server's default scope applies);
-    * ``answers`` — one ``replay_spec()`` tuple per *distinct* answer
-      (see :meth:`repro.relay.service._BlockAnswer.replay_spec`); the
-      enumerator deduplicates, so thousands of rows typically share a
-      few hundred specs.
+    * ``answers`` — the replay spec tuples the rows index (see
+      :meth:`repro.relay.service._BlockAnswer.replay_spec`); thousands
+      of rows share a few hundred specs.
 
-    The scan kernel links the answer specs against its settings once and
-    then replays the program with a monotone row pointer.  Programs are
-    epoch-scoped exactly like cached plans: any token change drops them.
+    The relay zone's enumerator hands over a slice of its assignment
+    map's answer partition, whose contiguity was checked when the
+    partition was built, so construction only checks what is O(1): the
+    endpoints and equal column lengths.  The scan kernel links the
+    answer specs against its settings once and then replays the program
+    with a monotone row pointer.
     """
 
-    __slots__ = ("lo", "hi", "row_starts", "row_ends", "row_answer", "row_scopes", "answers")
+    __slots__ = ("lo", "hi", "row_starts", "row_ends", "row_answer", "answers")
 
-    def __init__(self, lo: int, hi: int, rows: list, specs: list) -> None:
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        row_starts: array,
+        row_ends: array,
+        row_answer: array,
+        answers: list,
+    ) -> None:
+        if not (
+            lo <= hi
+            and row_starts
+            and len(row_starts) == len(row_ends) == len(row_answer)
+            and row_starts[0] == lo
+            and row_ends[-1] == hi
+        ):
+            raise ValueError(f"replay rows must cover [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
-        starts = [row[0] for row in rows]
-        ends = [row[1] for row in rows]
-        # Bulk validation: the per-row checks collapse to list-at-a-time
-        # passes (packing ran at ~2 µs/row as a scalar loop, and a
-        # program holds tens of thousands of rows).
-        if (
-            not rows
-            or starts[0] != lo
-            or ends[-1] != hi
-            or any(e < s for s, e in zip(starts, ends))
-            or any(s != e + 1 for s, e in zip(starts[1:], ends))
-        ):
-            raise ValueError(
-                f"replay rows must cover [{lo}, {hi}] contiguously"
-            )
-        indexes = [row[2] for row in rows]
-        scope_bytes = [255 if a[0] is None else a[0] for a in specs]
-        self.row_starts = array("I", starts)
-        self.row_ends = array("I", ends)
-        self.row_answer = array("I", indexes)
-        self.row_scopes = array("B", [scope_bytes[i] for i in indexes])
-        self.answers = specs
+        self.row_starts = row_starts
+        self.row_ends = row_ends
+        self.row_answer = row_answer
+        self.answers = answers
 
     def __len__(self) -> int:
         return len(self.row_ends)
@@ -146,12 +152,12 @@ class ScopeAnswerCache:
     def replay_program(
         self, zone: Zone, name: DnsName, rtype: RRType, lo: int, hi: int
     ) -> ReplayProgram | None:
-        """The compiled program for a scan range, or None if unsupported.
+        """The replay program for a scan range, or None if unsupported.
 
-        Compiled from the zone's registered replay enumerator
+        Built from the zone's registered replay enumerator
         (:meth:`~repro.dns.zone.Zone.replay_enumerator`) on first use per
         epoch and cached under the same token discipline as answer
-        plans.  Compilation itself counts neither hits nor misses — per
+        plans.  Building one counts neither hits nor misses — per
         partition-invariance, program-served queries are accounted as
         cache hits by the kernel (:meth:`record_program_hits`), keeping
         ``hits + misses`` equal to the query count for any worker split.
@@ -172,8 +178,7 @@ class ScopeAnswerCache:
         enumerated = enumerator(lo, hi)
         if enumerated is None:
             return None
-        rows, specs = enumerated
-        program = ReplayProgram(lo, hi, rows, specs)
+        program = ReplayProgram(lo, hi, *enumerated)
         self._programs[key] = program
         return program
 

@@ -233,21 +233,24 @@ class Zone:
         self,
         name: DnsName | str,
         rtype: RRType,
-        enumerator: Callable[[int, int], tuple[list, list] | None],
+        enumerator: Callable[[int, int], tuple | None],
     ) -> None:
         """Register a range enumerator for (name, rtype) answer plans.
 
         ``enumerator(lo, hi)`` returns the answer structure of the whole
-        address range ``[lo, hi]`` for the *current* epoch as ``(rows,
-        specs)``: contiguous ``(start, end, spec index)`` rows in
-        ascending address order (inclusive bounds, every address covered
-        exactly once) over a parallel list of *distinct* replay spec
-        tuples (deduplicated — many rows may share one spec).
-        It may return None when the current state
-        cannot be enumerated safely (e.g. nested assignment units); the
-        scan then falls back to per-query lookups.  The answer cache
-        compiles these rows into replay programs
+        address range ``[lo, hi]`` for the *current* epoch as
+        ``(row_starts, row_ends, row_answer, specs)``: three equal-length
+        ``array('I')`` columns of rows in ascending address order
+        (inclusive bounds, every address covered exactly once, the first
+        row starting at ``lo`` and the last ending at ``hi``) and the
+        replay spec tuples ``row_answer`` indexes (many rows may share
+        one spec).  The enumerator owns contiguity: the answer cache
+        checks only the endpoints and the column lengths when it wraps
+        the columns in a replay program
         (:meth:`repro.dns.answer_cache.ScopeAnswerCache.replay_program`).
+        It may return None when the current state cannot be enumerated
+        safely (e.g. nested assignment units); the scan then falls back
+        to per-query lookups.
         """
         if isinstance(name, str):
             name = DnsName.parse(name)
@@ -262,7 +265,7 @@ class Zone:
 
     def replay_enumerator(
         self, name: DnsName, rtype: RRType
-    ) -> Callable[[int, int], tuple[list, list] | None] | None:
+    ) -> Callable[[int, int], tuple | None] | None:
         """The registered range enumerator for (name, rtype), or None."""
         return self._replay_enumerators.get((name, rtype))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import ConnectionFailed, RelayError, RelayUnavailable
@@ -145,6 +146,91 @@ class AssignmentUnit:
             )
 
 
+#: The highest IPv4 address value: an answer partition covers [0, this].
+_V4_MAX = (1 << 32) - 1
+
+
+class AnswerPartition:
+    """The v4 answer partition of one assignment-map version.
+
+    Disjoint assignment units, plus fallback rows for the unassigned
+    space between and around them, cover the whole IPv4 space in
+    ascending address order as three parallel ``array('I')`` columns:
+    ``starts``, inclusive ``ends`` and a ``roster_index`` per row.
+    ``roster`` holds one representative unit per distinct ``(pod,
+    operator AS, scope length)`` key, since a relay answer depends on
+    its unit only through those three fields, and ``None`` at index 0
+    for the fallback answer of unassigned space.  Contiguity is checked
+    once, here.
+
+    The partition depends on the map alone, never on the deployment
+    epoch: the relay enumerator slices it per scan range and pairs the
+    slice with the current epoch's answer specs, one per roster entry.
+    """
+
+    __slots__ = ("version", "starts", "ends", "roster_index", "roster", "__weakref__")
+
+    def __init__(
+        self,
+        version: int,
+        unit_starts: list[int],
+        unit_ends: list[int],
+        units: list[AssignmentUnit],
+    ) -> None:
+        starts: list[int] = []
+        ends: list[int] = []
+        index: list[int] = []
+        roster: list[AssignmentUnit | None] = [None]
+        keys: dict[tuple, int] = {}
+        cursor = 0
+        for start, end, unit in zip(unit_starts, unit_ends, units):
+            if start > cursor:
+                starts.append(cursor)
+                ends.append(start - 1)
+                index.append(0)
+            key = (unit.pod, unit.operator_asn, unit.scope_len)
+            entry = keys.get(key)
+            if entry is None:
+                entry = keys[key] = len(roster)
+                roster.append(unit)
+            starts.append(start)
+            ends.append(end)
+            index.append(entry)
+            cursor = end + 1
+        if cursor <= _V4_MAX:
+            starts.append(cursor)
+            ends.append(_V4_MAX)
+            index.append(0)
+        if (
+            starts[0] != 0
+            or ends[-1] != _V4_MAX
+            or any(e < s for s, e in zip(starts, ends))
+            or any(s != e + 1 for s, e in zip(starts[1:], ends))
+        ):
+            raise RelayError("assignment units do not partition the v4 space")
+        self.version = version
+        self.starts = array("I", starts)
+        self.ends = array("I", ends)
+        self.roster_index = array("I", index)
+        self.roster = roster
+
+    def slice(self, lo: int, hi: int) -> tuple[array, array, array]:
+        """``(starts, ends, roster_index)`` of the rows covering ``[lo, hi]``.
+
+        Array slices (C-level copies), with the first start clipped to
+        ``lo`` and the last end to ``hi``.
+        """
+        if not 0 <= lo <= hi <= _V4_MAX:
+            raise ValueError(f"bad v4 range [{lo}, {hi}]")
+        first = bisect.bisect_right(self.starts, lo) - 1
+        stop = bisect.bisect_left(self.ends, hi) + 1
+        starts = self.starts[first:stop]
+        ends = self.ends[first:stop]
+        starts[0] = lo
+        ends[-1] = hi
+        return starts, ends, self.roster_index[first:stop]
+
+
 class AssignmentMap:
     """Client subnet → assignment unit, with longest-prefix semantics."""
 
@@ -157,8 +243,12 @@ class AssignmentMap:
         self._ends: dict[int, list[int]] = {4: [], 6: []}
         self._sorted_units: dict[int, list[AssignmentUnit]] = {4: [], 6: []}
         self._nested = False
-        #: Bumped on every :meth:`add`; participates in the relay zone's
-        #: epoch token so cached answer plans never survive a map edit.
+        #: The current version's v4 answer partition, built on first use
+        #: and dropped by every edit (see :meth:`answer_partition`).
+        self._partition: AnswerPartition | None = None
+        #: Bumped on every :meth:`add` and :meth:`remove`; participates
+        #: in the relay zone's epoch token so cached answer plans never
+        #: survive a map edit.
         self.version = 0
 
     def add(self, unit: AssignmentUnit) -> AssignmentUnit:
@@ -186,6 +276,7 @@ class AssignmentMap:
         if self._trie is not None:
             self._trie.insert(prefix, unit)
         self._units.append(unit)
+        self._partition = None
         self.version += 1
         return unit
 
@@ -197,7 +288,9 @@ class AssignmentMap:
         so every cached answer plan and replay program built against the
         old partition is invalidated the moment the unit disappears.
         The longest-match trie, if one was ever materialised, is dropped
-        and lazily rebuilt — removals are rare next to lookups.
+        and lazily rebuilt — removals are rare next to lookups.  If units
+        nested before, the nesting flag is recomputed: removing the only
+        nested unit hands the map back to the bisect and replay paths.
         """
         starts = self._starts[prefix.version]
         units = self._sorted_units[prefix.version]
@@ -214,6 +307,14 @@ class AssignmentMap:
         del units[pos]
         self._units.remove(unit)
         self._trie = None
+        self._partition = None
+        if self._nested:
+            # Sorted by start, two units nest iff some neighbouring pair
+            # does, so one adjacency pass per family decides the flag.
+            self._nested = any(
+                any(e >= s for e, s in zip(self._ends[v], self._starts[v][1:]))
+                for v in (4, 6)
+            )
         self.version += 1
         return unit
 
@@ -249,44 +350,25 @@ class AssignmentMap:
         # the whole block (prefix ranges nest or are disjoint).
         return pos > 0 and self._ends[block.version][pos - 1] >= block.value
 
-    def units_in_range(
-        self, version: int, lo: int, hi: int
-    ) -> list[AssignmentUnit]:
-        """Units of one address family intersecting ``[lo, hi]``, in order.
+    def answer_partition(self) -> AnswerPartition | None:
+        """The v4 answer partition of the current map version.
 
-        Only meaningful for disjoint units (the replay-program compiler
-        checks :attr:`has_nested_units` first): includes a unit whose
-        range merely reaches into the window from below, then every unit
-        starting inside it.
+        Built on first use after an edit and shared by every caller
+        until the next :meth:`add` or :meth:`remove` drops it, so only
+        the current version's partition is ever held.  None while units
+        nest: a flat partition would be ambiguous then.
         """
-        starts = self._starts[version]
-        ends = self._ends[version]
-        pos = bisect.bisect_right(starts, lo) - 1
-        if pos < 0 or ends[pos] < lo:
-            pos += 1
-        # Units starting inside the window are exactly starts[pos:stop]
-        # (starts is sorted), so the walk collapses to one C-level slice.
-        stop = bisect.bisect_right(starts, hi)
-        return self._sorted_units[version][pos:stop]
-
-    def range_view(
-        self, version: int, lo: int, hi: int
-    ) -> tuple[list[int], list[int], list[AssignmentUnit], int, int]:
-        """The :meth:`units_in_range` window as parallel lists plus bounds.
-
-        Returns ``(starts, ends, units, pos, stop)`` — the full sorted
-        per-family lists and the ``[pos, stop)`` index window — so bulk
-        consumers (the replay-program compiler) can walk unit bounds as
-        plain ints without touching prefix objects.  Same intersection
-        semantics as :meth:`units_in_range`.
-        """
-        starts = self._starts[version]
-        ends = self._ends[version]
-        pos = bisect.bisect_right(starts, lo) - 1
-        if pos < 0 or ends[pos] < lo:
-            pos += 1
-        stop = bisect.bisect_right(starts, hi)
-        return starts, ends, self._sorted_units[version], pos, stop
+        if self._nested:
+            return None
+        partition = self._partition
+        if partition is None:
+            partition = self._partition = AnswerPartition(
+                self.version,
+                self._starts[4],
+                self._ends[4],
+                self._sorted_units[4],
+            )
+        return partition
 
     def lookup(self, subnet: Prefix) -> AssignmentUnit | None:
         """The unit serving a client subnet, or None if unserved.
@@ -740,78 +822,28 @@ class PrivateRelayService:
                 client_subnet is not None and client_subnet.version == 4,
             )
 
-        # Spec-dedup keys per unit index (parallel to the assignment's
-        # sorted unit list), rebuilt when the map changes: a replay spec
-        # depends on its unit only through these three fields, so one
-        # spec serves every unit sharing them.
-        spec_keys: list[tuple] = []
-        spec_keys_version = -1
-
         def make_enumerator(name: DnsName):
-            def enumerate_answers(lo: int, hi: int) -> tuple[list, list] | None:
-                """``(rows, specs)`` covering [lo, hi] contiguously.
+            def enumerate_answers(lo: int, hi: int) -> tuple | None:
+                """The replay program of ``[lo, hi]`` in the current epoch.
 
-                ``rows`` holds ``(start, end, spec index)`` triples — one
-                per assignment unit intersecting the range, with fallback
-                rows filling unassigned space between and around them —
-                and ``specs`` the referenced replay tuples (see
-                :meth:`_BlockAnswer.replay_spec`): the exact per-subnet
-                partition ``derive`` induces for v4 ECS queries in the
-                current epoch.  A spec depends on its unit only through
-                (pod, operator AS, scope), so specs deduplicate on that
-                key — tens of thousands of units collapse to a few
-                hundred distinct answers, and the derivation (supplier
-                lookup, relay filtering) runs once per distinct key, not
-                once per unit.  Nested units make a flat partition
-                ambiguous; the compiler falls back to per-query lookups
-                then.
+                ``(starts, ends, answer index, specs)``: the map's
+                answer partition sliced to the range (see
+                :class:`AnswerPartition`), indexing one replay spec per
+                roster entry (see :meth:`_BlockAnswer.replay_spec`) —
+                the exact per-subnet partition ``derive`` induces for v4
+                ECS queries.  Only the specs depend on the epoch, and
+                each is a memo hit after the epoch's first compile.
+                None while units nest: the scan then runs per-query
+                lookups.
                 """
-                nonlocal spec_keys, spec_keys_version
-                if assignment.has_nested_units:
+                partition = assignment.answer_partition()
+                if partition is None:
                     return None
-                starts, ends, units, pos, stop = assignment.range_view(
-                    version, lo, hi
-                )
-                if spec_keys_version != assignment.version:
-                    spec_keys = [
-                        (u.pod, u.operator_asn, u.scope_len) for u in units
-                    ]
-                    spec_keys_version = assignment.version
-                rows: list = []
-                specs: list = []
-                append = rows.append
-                spec_map: dict = {}
-                spec_get = spec_map.get
-                cursor = lo
-                fallback_index = -1
-                for i in range(pos, stop):
-                    unit_start = starts[i]
-                    if unit_start > cursor:
-                        if fallback_index < 0:
-                            fallback_index = len(specs)
-                            specs.append(
-                                answer_for(name, None, True).replay_spec()
-                            )
-                        append((cursor, unit_start - 1, fallback_index))
-                        cursor = unit_start
-                    key = spec_keys[i]
-                    index = spec_get(key)
-                    if index is None:
-                        index = spec_map[key] = len(specs)
-                        specs.append(
-                            answer_for(name, units[i], True).replay_spec()
-                        )
-                    unit_end = ends[i]
-                    append((cursor, unit_end if unit_end < hi else hi, index))
-                    cursor = unit_end + 1
-                    if cursor > hi:
-                        break
-                if cursor <= hi:
-                    if fallback_index < 0:
-                        fallback_index = len(specs)
-                        specs.append(answer_for(name, None, True).replay_spec())
-                    append((cursor, hi, fallback_index))
-                return rows, specs
+                specs = [
+                    answer_for(name, unit, True).replay
+                    for unit in partition.roster
+                ]
+                return (*partition.slice(lo, hi), specs)
 
             return enumerate_answers
 

@@ -33,6 +33,43 @@ class TestAssignmentMap:
         amap.add(unit)
         assert amap.lookup(Prefix.parse("10.0.0.0/8")) is unit
 
+    def test_removing_the_nested_unit_clears_nesting(self):
+        amap = AssignmentMap()
+        amap.add(AssignmentUnit(Prefix.parse("10.0.0.0/16"), 16, 714, "EU-0"))
+        amap.add(AssignmentUnit(Prefix.parse("10.0.1.0/24"), 24, 714, "EU-1"))
+        amap.add(AssignmentUnit(Prefix.parse("10.0.2.0/24"), 24, 714, "EU-1"))
+        assert amap.has_nested_units
+        assert amap.answer_partition() is None
+        amap.remove(Prefix.parse("10.0.1.0/24"))
+        assert amap.has_nested_units
+        amap.remove(Prefix.parse("10.0.2.0/24"))
+        assert not amap.has_nested_units
+        assert amap.lookup(Prefix.parse("10.0.1.0/24")).pod == "EU-0"
+        assert amap.answer_partition() is not None
+
+    def test_answer_partition_covers_v4_space(self):
+        amap = AssignmentMap()
+        a = amap.add(AssignmentUnit(Prefix.parse("10.0.0.0/16"), 16, 714, "EU-0"))
+        amap.add(AssignmentUnit(Prefix.parse("10.1.0.0/16"), 16, 714, "EU-0"))
+        c = amap.add(AssignmentUnit(Prefix.parse("10.3.0.0/24"), 24, 714, "EU-0"))
+        partition = amap.answer_partition()
+        assert amap.answer_partition() is partition
+        base = Prefix.parse("10.0.0.0/16").value
+        assert list(partition.starts) == [
+            0, base, base + 0x10000, base + 0x20000, base + 0x30000,
+            base + 0x30100,
+        ]
+        assert partition.ends[-1] == (1 << 32) - 1
+        # 10.0/16 and 10.1/16 share (pod, AS, scope): one roster entry.
+        assert partition.roster == [None, a, c]
+        assert list(partition.roster_index) == [0, 1, 1, 0, 2, 0]
+        starts, ends, index = partition.slice(base + 0x100, base + 0x100ff)
+        assert list(starts) == [base + 0x100, base + 0x10000]
+        assert list(ends) == [base + 0xFFFF, base + 0x100ff]
+        assert list(index) == [1, 1]
+        amap.remove(Prefix.parse("10.3.0.0/24"))
+        assert amap.answer_partition() is not partition
+
     def test_scope_cannot_be_wider_than_prefix(self):
         with pytest.raises(RelayError):
             AssignmentUnit(Prefix.parse("10.0.0.0/16"), 8, 714, "EU-0")

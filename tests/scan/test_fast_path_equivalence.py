@@ -19,11 +19,12 @@ from repro.dns.name import DnsName
 from repro.dns.rr import RRType, a_record
 from repro.dns.server import EcsPolicy
 from repro.dns.zone import Zone
-from repro.netmodel.addr import IPAddress
-from repro.relay.service import RELAY_DOMAIN_QUIC
+from repro.netmodel.addr import IPAddress, Prefix
+from repro.relay.service import RELAY_DOMAIN_QUIC, AssignmentUnit
 from repro.scan.campaign import ScanCampaign
 from repro.scan.ecs_scanner import EcsScanner, EcsScanSettings
 from repro.worldgen import WorldConfig, build_world
+from repro.worldgen.deployment import DeploymentChurn
 
 
 def _world(kernel: bool):
@@ -220,6 +221,45 @@ def _answer_cache_off(world):
     return _scan(world)
 
 
+def _after_churn(world):
+    # The first scan builds the map's answer partition and a program;
+    # the churn edits the map, so the second runs on a new partition.
+    _scan(world, _small_routing(world))
+    churn = DeploymentChurn(world.assignment, world.ingress_v4, world.clock.now)
+    churn.inject_standard(seed=2022)
+    return _scan(world)
+
+
+def _nest_unit(world) -> Prefix:
+    """Add a unit nested in the widest v4 unit; returns its prefix."""
+    outer = min(
+        (unit for unit in world.assignment.units() if unit.prefix.version == 4),
+        key=lambda unit: (unit.prefix.length, unit.prefix.value),
+    )
+    prefix = Prefix(4, outer.prefix.value, outer.prefix.length + 1)
+    world.assignment.add(
+        AssignmentUnit(
+            prefix,
+            max(outer.scope_len, prefix.length),
+            outer.operator_asn,
+            outer.pod,
+        )
+    )
+    assert world.assignment.has_nested_units
+    return prefix
+
+
+def _nested_units(world):
+    _nest_unit(world)
+    return _scan(world, _small_routing(world))
+
+
+def _nested_unit_removed(world):
+    world.assignment.remove(_nest_unit(world))
+    assert not world.assignment.has_nested_units
+    return _scan(world)
+
+
 #: (case, whether the kernel serves it).
 DISPATCH_CASES = [
     (_stock_relay_zone, True),
@@ -229,6 +269,9 @@ DISPATCH_CASES = [
     (_gaps_only_regions, False),
     (_overridden_handle, False),
     (_answer_cache_off, False),
+    (_after_churn, True),
+    (_nested_units, False),
+    (_nested_unit_removed, True),
 ]
 
 
