@@ -3,19 +3,31 @@
 The paper applies "a strict query rate limit" to all scans — strict
 enough that one full ECS scan takes up to 40 hours.  The scanner drains
 a :class:`TokenBucket` before each query; the bucket advances the shared
-:class:`~repro.simtime.SimClock` by however long a real scanner would
-have had to wait, so scan durations (and the fleet churn that happens
+:class:`~repro.simtime.SimClock` to the moment a real scanner would have
+been allowed to send, so scan durations (and the fleet churn that happens
 during them) come out right without real sleeping.
+
+The bucket is kept in closed (virtual-scheduling, GCRA) form, so one
+formula answers a single take, a batch of takes, and how many takes fit
+before a deadline — no per-take replay, no accumulated rounding.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 from repro.errors import RateLimitExceeded
 from repro.simtime import SimClock
 
 
 class TokenBucket:
-    """A token bucket: ``rate`` tokens/second, capacity ``burst``."""
+    """A token bucket: ``rate`` tokens/second, capacity ``burst``.
+
+    The bucket was last full at ``_anchor`` and ``_taken`` tokens have
+    gone since, so the k-th of them is due at
+    ``anchor + (k - burst) / rate`` and is served at ``max(now, due)``.
+    """
 
     def __init__(self, rate: float, burst: float, clock: SimClock) -> None:
         if rate <= 0:
@@ -25,40 +37,18 @@ class TokenBucket:
         self.rate = rate
         self.burst = burst
         self.clock = clock
-        self._tokens = burst
-        self._last = clock.now
+        self._anchor = clock.now
+        self._taken = 0.0
         self.total_waited = 0.0
-        #: Non-blocking takes that found the bucket empty — the model's
-        #: "rate-limit drop" signal, exported as ``ratelimit.denied``.
-        self.denied = 0
-
-    def _refill(self) -> None:
-        now = self.clock.now
-        if now > self._last:
-            self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
-            self._last = now
 
     @property
     def tokens(self) -> float:
-        """Tokens currently available (after refill)."""
-        self._refill()
-        return self._tokens
-
-    def try_take(self, count: float = 1.0) -> bool:
-        """Take tokens if available without waiting; returns success."""
-        if count > self.burst:
-            raise RateLimitExceeded(
-                f"requested {count} tokens exceeds burst capacity {self.burst}"
-            )
-        self._refill()
-        if self._tokens >= count:
-            self._tokens -= count
-            return True
-        self.denied += 1
-        return False
+        """Tokens currently available (capped at ``burst``)."""
+        held = self.burst - self._taken + (self.clock.now - self._anchor) * self.rate
+        return held if held < self.burst else self.burst
 
     def take(self, count: float = 1.0) -> float:
-        """Take tokens, advancing the simulated clock as needed.
+        """Take tokens, advancing the simulated clock to when they are due.
 
         Returns the simulated seconds waited (0.0 when tokens were ready).
         """
@@ -66,64 +56,72 @@ class TokenBucket:
             raise RateLimitExceeded(
                 f"requested {count} tokens exceeds burst capacity {self.burst}"
             )
-        # _refill() inlined (twice): take() runs once per scan query and
-        # the method-call overhead is measurable there.  The arithmetic
-        # matches _refill exactly so token values stay bit-identical.
+        # take_many()'s body, inlined: this runs once per fault-gated query.
         clock = self.clock
         now = clock.now
-        tokens = self._tokens
-        if now > self._last:
-            tokens = min(self.burst, tokens + (now - self._last) * self.rate)
-            self._last = now
-        if tokens >= count:
-            self._tokens = tokens - count
+        anchor = self._anchor
+        taken = self._taken
+        if (now - anchor) * self.rate >= taken:  # full: re-anchor at now
+            self._anchor = anchor = now
+            taken = 0.0
+        taken += count
+        self._taken = taken
+        due = anchor + (taken - self.burst) / self.rate
+        if due <= now:
             return 0.0
-        wait = (count - tokens) / self.rate
-        clock.advance(wait)
-        now = clock.now
-        if now > self._last:
-            tokens = min(self.burst, tokens + (now - self._last) * self.rate)
-            self._last = now
-        self._tokens = tokens - count
+        clock.advance_to(due)
+        wait = due - now
         self.total_waited += wait
         return wait
 
     def take_many(self, count: int) -> float:
-        """Replay ``count`` unit takes; returns the total seconds waited.
+        """Take ``count`` unit tokens at once; returns the seconds waited.
 
-        Bit-identical to calling :meth:`take` ``count`` times (the same
-        float operations run in the same order, including the per-take
-        ``total_waited`` accumulation), with the attribute traffic hoisted
-        out of the loop.  The sharded campaign merge uses this to advance
-        the authoritative clock by exactly the simulated time a
-        sequential scan of the merged query count would have taken.
+        Leaves the clock and the bucket exactly where ``count`` calls of
+        :meth:`take` would: the last take is served at ``max(now, due)``
+        of the same formula, in O(1).
         """
         clock = self.clock
+        now = clock.now
+        anchor = self._anchor
+        taken = self._taken
+        if (now - anchor) * self.rate >= taken:
+            self._anchor = anchor = now
+            taken = 0.0
+        taken += count
+        self._taken = taken
+        due = anchor + (taken - self.burst) / self.rate
+        if due <= now:
+            return 0.0
+        clock.advance_to(due)
+        wait = due - now
+        self.total_waited += wait
+        return wait
+
+    def takes_before(self, deadline: float) -> int:
+        """How many unit takes from now are served strictly before ``deadline``.
+
+        Evaluates the same float formula as :meth:`take`, so the next
+        take after that many is the first whose served time (and hence
+        the clock after it) reaches ``deadline``.  Changes nothing.
+        """
+        now = self.clock.now
+        if now >= deadline:
+            return 0
+        if deadline == math.inf:
+            return sys.maxsize
         rate = self.rate
         burst = self.burst
-        advance = clock.advance
-        tokens = self._tokens
-        last = self._last
-        total_waited = self.total_waited
-        waited = 0.0
-        for _ in range(count):
-            now = clock.now
-            if now > last:
-                tokens = min(burst, tokens + (now - last) * rate)
-                last = now
-            if tokens >= 1.0:
-                tokens = tokens - 1.0
-                continue
-            wait = (1.0 - tokens) / rate
-            advance(wait)
-            now = clock.now
-            if now > last:
-                tokens = min(burst, tokens + (now - last) * rate)
-                last = now
-            tokens = tokens - 1.0
-            total_waited += wait
-            waited += wait
-        self._tokens = tokens
-        self._last = last
-        self.total_waited = total_waited
-        return waited
+        anchor = self._anchor
+        taken = self._taken
+        if (now - anchor) * rate >= taken:
+            anchor = now
+            taken = 0.0
+        # Exact-arithmetic estimate, then settle on the float formula:
+        # due times are monotone in the take count.
+        k = max(0, int((deadline - anchor) * rate + burst - taken))
+        while k and anchor + (taken + k - burst) / rate >= deadline:
+            k -= 1
+        while anchor + (taken + k + 1 - burst) / rate < deadline:
+            k += 1
+        return k

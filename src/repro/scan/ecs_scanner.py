@@ -106,8 +106,8 @@ class EcsScanSettings:
     #: backoff_factor**(retry-1)`` seconds, jittered by a deterministic
     #: factor in ``[1 - backoff_jitter, 1 + backoff_jitter)``.  The
     #: waits accumulate into ``fault_wait_seconds`` and advance the sim
-    #: clock once at scan end (mid-scan advancement would change the
-    #: token-bucket refill timeline and break the sharded replay).
+    #: clock once at scan end (mid-scan advancement could refill the
+    #: token bucket and move the schedule the sharded merge reproduces).
     backoff_base: float = 1.0
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.5
@@ -270,9 +270,9 @@ class _FaultGate:
     *same* gate methods, so fault semantics cannot diverge between them.
 
     Injected waits are accumulated here and applied to the clock once at
-    scan end: advancing mid-scan would change the token bucket's refill
-    interleaving and break the sharded campaign's bit-identical
-    ``take_many`` replay.
+    scan end: advancing mid-scan could refill the token bucket and move
+    its schedule off the one the sharded campaign's single ``take_many``
+    of the merged query count reproduces.
     """
 
     __slots__ = (
@@ -515,7 +515,7 @@ class EcsScanner:
             gate.finish(result)
         # Injected waits advance the clock once, here: a shard worker's
         # scan therefore leaves the token bucket exactly where the
-        # parent's take_many() replay expects it.
+        # parent's take_many() of the merged query count expects it.
         if result.fault_wait_seconds:
             self.clock.advance(result.fault_wait_seconds)
         result.finished_at = self.clock.now
@@ -576,7 +576,6 @@ class EcsScanner:
             scope_hist.observe_many(scope, n)
         registry.counter("ecs.scope_skipped_slash24s", domain=domain).inc(skipped)
         registry.counter("ratelimit.waited_seconds").inc(bucket.total_waited)
-        registry.counter("ratelimit.denied").inc(bucket.denied)
         registry.histogram(
             "ecs.scan_wall_seconds", DURATION_BUCKETS, domain=domain
         ).observe(wall_seconds)
@@ -621,26 +620,27 @@ class EcsScanner:
           the very same program rows (the program covers gaps with
           fallback rows), so their rotation bumps flow through the same
           local counts in exact query order.
-        * **Token takes** are batched: while the sim clock is provably
-          below the epoch horizon (each take advances it at most
-          ``1/rate`` seconds), a whole run of queries is served against
-          the linked program and the bucket replays them in one
-          :meth:`~repro.dns.ratelimit.TokenBucket.take_many` — the same
-          float sequence as per-query takes, bit-identical wait totals.
+        * **Token takes** are batched: the bucket's closed-form schedule
+          says how many takes are served strictly before the epoch
+          horizon (:meth:`~repro.dns.ratelimit.TokenBucket.takes_before`),
+          that run of queries is served against the linked program and
+          taken in one :meth:`~repro.dns.ratelimit.TokenBucket.take_many`
+          — the clock lands where per-query takes would leave it.
         * **Epoch boundaries**: the zone declares how long its current
           answers stay valid (:meth:`~repro.dns.zone.Zone.epoch_horizon`);
-          when the sim clock crosses that horizon the program is flushed,
-          recompiled against the new epoch, and relinked — the same
-          invalidate-and-rebuild the per-query cache performs.  Near the
-          horizon the kernel degrades to careful single-query takes with
-          the exact post-take clock check a per-query scan performs.
+          the take after a batch is the one that crosses that horizon,
+          so the kernel takes it, and when the clock has reached the
+          horizon flushes, recompiles the program against the new epoch,
+          and relinks before serving it — a per-query scan's take,
+          post-take clock check, answer order, and the same
+          invalidate-and-rebuild the per-query cache performs.
         * **Faults**: the attempt-0 draw is inlined (one splitmix64 hash
           against the plan's precomputed channel base); only faulted
           queries — identified by the exact same draw — fall back to the
           gate's retry ladder, so injected/retry/give-up identities hold
-          bit-for-bit.  With a fault gate attached every query stays on
-          the careful single-take path (retry takes interleave with
-          query takes, so batching them would reorder the bucket replay).
+          bit-for-bit.  With a fault gate attached every query takes
+          its own token (retry takes interleave with query takes, so
+          only the gate knows how many takes a query costs).
 
         Returns False (without consuming anything) when the range cannot
         be compiled — no routed span, missing zone, ECS policy off or
@@ -841,9 +841,8 @@ class EcsScanner:
         append_sparse = result.sparse_responses.append
         sparse_stride = settings.sparse_stride << 8
         stats = server.stats
-        rate = bucket.rate
         take_many = bucket.take_many
-        inf = float("inf")
+        takes_before = bucket.takes_before
         sent = 0
         sparse_sent = 0
         sparse_served = 0
@@ -853,9 +852,9 @@ class EcsScanner:
         def serve_routed(value: int) -> int:
             """Serve one routed query at ``value``; returns the next cursor.
 
-            Same body as the inlined chunk loop — used only on the rare
-            careful paths (near an epoch horizon, and after a delivered
-            faulted query), where a closure call costs nothing.
+            Same body as the inlined chunk loop — used only for the take
+            that crosses an epoch horizon and on the fault-gated path,
+            where a closure call costs nothing.
             """
             nonlocal r, n_nodata_prog
             while value > row_ends[r]:
@@ -931,28 +930,26 @@ class EcsScanner:
                         cursor += sparse_stride
                     continue
                 while cursor + 255 <= end:
-                    # Probe count to the gap's end is known up front, so
-                    # the horizon budget caps one take_many per chunk.
-                    if horizon == inf:
-                        allowed = 1 << 30
-                    else:
-                        allowed = int((horizon - clock.now) * rate) - 2
-                    if allowed < 1:
+                    # Probe count to the gap's end is known up front:
+                    # serve every probe taken before the horizon in one
+                    # batch, then the take that crosses it.
+                    k = (end - 255 - cursor) // sparse_stride + 1
+                    allowed = takes_before(horizon)
+                    if k > allowed:
+                        k = allowed
+                    if k:
+                        take_many(k)
+                        sent += k
+                        sparse_sent += k
+                        for _ in range(k):
+                            serve_sparse(cursor)
+                            cursor += sparse_stride
+                    if cursor + 255 <= end:
                         take()
                         sent += 1
                         sparse_sent += 1
                         if clock.now >= horizon:
                             refresh()
-                        serve_sparse(cursor)
-                        cursor += sparse_stride
-                        continue
-                    k = (end - 255 - cursor) // sparse_stride + 1
-                    if k > allowed:
-                        k = allowed
-                    take_many(k)
-                    sent += k
-                    sparse_sent += k
-                    for _ in range(k):
                         serve_sparse(cursor)
                         cursor += sparse_stride
                 continue
@@ -986,26 +983,12 @@ class EcsScanner:
                     cursor = serve_routed(value)
                 continue
             while cursor <= end:
-                # Horizon budget: one take advances the clock at most
-                # 1/rate seconds, so this many takes provably stay below
-                # the horizon (the -2 margin swallows float rounding);
-                # the whole run is served against the linked program and
-                # the bucket replays the takes in one take_many — the
-                # same float sequence, bit-identical wait totals.
-                if horizon == inf:
-                    allowed = 1 << 30
-                else:
-                    allowed = int((horizon - clock.now) * rate) - 2
-                if allowed < 1:
-                    # Within a take or two of the horizon: single-query
-                    # takes with a per-query scan's exact post-take
-                    # clock check, crossing the epoch where it would.
-                    take()
-                    sent += 1
-                    if clock.now >= horizon:
-                        refresh()
-                    cursor = serve_routed(cursor & source_mask)
-                    continue
+                # The bucket says how many takes are served strictly
+                # before the horizon: that run is served against the
+                # linked program and taken in one take_many; the take
+                # after it crosses the horizon, as a per-query scan's
+                # post-take clock check would see it.
+                allowed = takes_before(horizon)
                 count = 0
                 while cursor <= end and count < allowed:
                     value = cursor & source_mask
@@ -1032,8 +1015,15 @@ class EcsScanner:
                         n_nodata_prog += 1
                         cursor = value + step
                     count += 1
-                take_many(count)
-                sent += count
+                if count:
+                    take_many(count)
+                    sent += count
+                if cursor <= end:
+                    take()
+                    sent += 1
+                    if clock.now >= horizon:
+                        refresh()
+                    cursor = serve_routed(cursor & source_mask)
                 if hb is not None:
                     hb()
         flush()

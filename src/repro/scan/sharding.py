@@ -25,10 +25,10 @@ equivalent to the sequential scan:
   seed, shard index) before a task, so shard results depend only on the
   shard's own query order — never on which worker ran which shard
   first, and never on the number of workers;
-* the parent clock is advanced by replaying the merged query count
-  through a fresh token bucket
-  (:meth:`~repro.dns.ratelimit.TokenBucket.take_many`), which is
-  bit-identical to the sequential scan's rate-limit timeline.
+* the parent clock is advanced by taking the merged query count from a
+  fresh token bucket in one closed-form step
+  (:meth:`~repro.dns.ratelimit.TokenBucket.take_many`), which lands
+  exactly where the sequential scan's takes leave the clock.
 
 Workers ship results back as **columnar integer arrays** (subnet
 values, scopes, indices into a distinct-address-tuple table), not as
@@ -1103,9 +1103,9 @@ class ShardedCampaignExecutor:
         authoritative objects; the zone's rotation hooks advance by the
         summed per-key deltas (each key's counter increments by exactly
         one per query, so summed counts reproduce the sequential end
-        state); and the clock replays the merged query count through a
-        fresh token bucket — the same float operations in the same order
-        as the sequential scan's per-query takes.
+        state); and the clock takes the merged query count from a fresh
+        token bucket at once — the closed-form schedule the sequential
+        scan's takes follow, so the clock lands on the same float.
         """
         scanner = self.scanner
         server = scanner.server
@@ -1120,7 +1120,7 @@ class ShardedCampaignExecutor:
                 hook.apply_deltas(deltas)
         bucket = TokenBucket(settings.rate, settings.burst, scanner.clock)
         bucket.take_many(result.queries_sent)
-        # Injected waits advance the clock after the replay, mirroring
+        # Injected waits advance the clock after the takes, mirroring
         # scan_ranges (takes first, one advance at the end); the shard
         # partial sums are dyadic so their sum is the sequential float.
         if result.fault_wait_seconds:

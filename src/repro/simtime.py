@@ -79,13 +79,18 @@ class SimClock:
         """Move the clock forward to an absolute timestamp.
 
         Advancing to a timestamp in the past is an error; advancing to the
-        current time is a no-op.
+        current time is a no-op.  The clock lands on ``timestamp`` exactly
+        (``now + (timestamp - now)`` may round away from it), which the
+        rate limiter's closed-form schedule relies on.
         """
         if timestamp < self.now:
             raise ValueError(
                 f"cannot move clock backwards: now={self.now}, target={timestamp}"
             )
-        return self.advance(timestamp - self.now)
+        self.now = timestamp
+        for observer in self._observers:
+            observer(timestamp)
+        return timestamp
 
     def reset_to(self, timestamp: float) -> float:
         """Set the clock to ``timestamp``, even backwards.

@@ -212,14 +212,6 @@ class TestTokenBucket:
         clock.advance(3.0)
         assert bucket.tokens == pytest.approx(3.0)
 
-    def test_try_take(self):
-        clock = SimClock()
-        bucket = TokenBucket(rate=1.0, burst=1.0, clock=clock)
-        assert bucket.try_take()
-        assert not bucket.try_take()
-        clock.advance(1.0)
-        assert bucket.try_take()
-
     def test_oversized_request_rejected(self):
         bucket = TokenBucket(rate=1.0, burst=1.0, clock=SimClock())
         with pytest.raises(RateLimitExceeded):

@@ -13,16 +13,21 @@ The dispatch suite then covers every input the kernel refuses: each must
 fall through to the reference path and still match the oracle.
 """
 
+import math
+
 import pytest
 
 from repro.dns.name import DnsName
+from repro.dns.ratelimit import TokenBucket
 from repro.dns.rr import RRType, a_record
 from repro.dns.server import EcsPolicy
 from repro.dns.zone import Zone
 from repro.netmodel.addr import IPAddress, Prefix
+from repro.relay.ingress import IngressRelay, RelayProtocol
 from repro.relay.service import RELAY_DOMAIN_QUIC, AssignmentUnit
 from repro.scan.campaign import ScanCampaign
 from repro.scan.ecs_scanner import EcsScanner, EcsScanSettings
+from repro.simtime import SimClock
 from repro.worldgen import WorldConfig, build_world
 from repro.worldgen.deployment import DeploymentChurn
 
@@ -295,3 +300,120 @@ def test_dispatch_matches_oracle(case, kernel):
     assert result.sparse_responses == oracle.sparse_responses
     assert result.queries_sent == oracle.queries_sent
     assert world.route53.stats == oracle_world.route53.stats
+
+
+# ----------------------------------------------------------------------
+# Epoch horizons on the rate limiter's schedule: the kernel splits a
+# batch at the take that crosses the horizon, and that take — like the
+# oracle's post-take clock check — is answered from the new epoch.
+# ----------------------------------------------------------------------
+
+#: Queries per scan: the first 64 /24s of one assignment unit.
+_BLOCKS = 64
+#: The take of interest: with burst 10 at 2.2 q/s, take 10 + 11m is
+#: served 5m seconds after the scan starts — a whole 5 s step.
+_ON_STEP = 10 + 11 * 2
+_NEW_RELAY = IPAddress.parse("192.0.2.1")
+
+
+def _served_at(start: float, takes: int) -> float:
+    """When a fresh default-rate bucket at ``start`` serves take ``takes``."""
+    settings = EcsScanSettings()
+    clock = SimClock(start)
+    TokenBucket(settings.rate, settings.burst, clock).take_many(takes)
+    return clock.now
+
+
+def _unit(world) -> AssignmentUnit:
+    return next(
+        unit
+        for unit in sorted(
+            world.assignment.units(), key=lambda unit: unit.prefix.value
+        )
+        if unit.prefix.version == 4 and unit.prefix.length <= 18
+    )
+
+
+def _horizon_scan(kernel: bool, sparse: bool, activate_at: float | None):
+    """Scan one unit's first /24s, a relay joining its pod at ``activate_at``.
+
+    ``sparse`` walks the blocks as a sparse-probed gap (stride 1)
+    ahead of a one-block span instead of as a routed span.  Returns
+    the scan's start time and one answer per block, in take order.
+    """
+    world = _world(kernel)
+    start = world.deployment.april_scan_start
+    world.clock.advance_to(start)
+    unit = _unit(world)
+    if activate_at is not None:
+        world.ingress_v4.add(
+            IngressRelay(
+                _NEW_RELAY,
+                unit.operator_asn,
+                RelayProtocol.QUIC,
+                unit.pod,
+                active_from=activate_at,
+            )
+        )
+    lo = unit.prefix.value
+    hi = lo + _BLOCKS * 256 - 1
+    scanner = EcsScanner(
+        world.route53,
+        world.routing,
+        world.clock,
+        EcsScanSettings(respect_scope=False, sparse_stride=1),
+    )
+    if sparse:
+        after = unit.prefix.broadcast_value + 1
+        result = scanner.scan_regions(
+            RELAY_DOMAIN_QUIC, [(after, after + 255)], [(lo, hi)]
+        )
+    else:
+        result = scanner.scan_regions(RELAY_DOMAIN_QUIC, [(lo, hi)])
+    assert (result.columnar_view() is not None) is kernel
+    answers = result.sparse_responses if sparse else result.responses
+    assert [a.subnet.value for a in answers] == list(range(lo, hi + 1, 256))
+    return start, answers
+
+
+#: (case, crossing take given the served time of take _ON_STEP).
+HORIZON_CASES = {
+    "take_before": lambda served: (served(_ON_STEP - 1), _ON_STEP - 1),
+    "on_take": lambda served: (served(_ON_STEP), _ON_STEP),
+    "take_after": lambda served: (served(_ON_STEP + 1), _ON_STEP + 1),
+    "ulp_before": lambda served: (
+        math.nextafter(served(_ON_STEP), -math.inf),
+        _ON_STEP,
+    ),
+    "ulp_after": lambda served: (
+        math.nextafter(served(_ON_STEP), math.inf),
+        _ON_STEP + 1,
+    ),
+}
+
+
+class TestEpochHorizonCrossing:
+    @pytest.fixture(scope="class")
+    def never(self):
+        return {sparse: _horizon_scan(True, sparse, None) for sparse in (False, True)}
+
+    def test_on_step_take_lands_on_a_whole_step(self, never):
+        start, _ = never[False]
+        assert _served_at(start, _ON_STEP) == start + 5.0 * 2
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["routed", "sparse"])
+    @pytest.mark.parametrize("case", sorted(HORIZON_CASES))
+    def test_crossing_take_answered_from_new_epoch(self, never, case, sparse):
+        start, old = never[sparse]
+        horizon, crossing = HORIZON_CASES[case](
+            lambda takes: _served_at(start, takes)
+        )
+        _, new = _horizon_scan(True, sparse, start - 1.0)
+        # The joining relay changes the crossing query's answer, so an
+        # off-by-one take would show.
+        assert old[crossing - 1] != new[crossing - 1]
+        expected = old[: crossing - 1] + new[crossing - 1 :]
+        _, kernel = _horizon_scan(True, sparse, horizon)
+        _, oracle = _horizon_scan(False, sparse, horizon)
+        assert oracle == expected
+        assert kernel == expected
