@@ -67,8 +67,14 @@ class DnsMeasurementResult:
         return len(self.results)
 
     def distinct_addresses(self) -> set[IPAddress]:
-        """All distinct answer addresses across probes."""
-        return {addr for r in self.results for addr in r.addresses}
+        """All distinct answer addresses across probes.
+
+        Replies share each relay rotation's address tuple, so thousands
+        of results hold a few hundred tuples: dedupe those by identity
+        before hashing any address.
+        """
+        windows = {id(r.addresses): r.addresses for r in self.results}
+        return set().union(*windows.values())
 
     def timeouts(self) -> list[ProbeDnsResult]:
         """Probes whose query received no response."""

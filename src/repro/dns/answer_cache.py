@@ -1,39 +1,49 @@
-"""The scope-block answer cache — the server half of the scan fast path.
+"""The per-epoch answer cache — the server half of every DNS lookup.
 
-The ECS scanner sends millions of queries whose answers the server
-itself declares valid for whole scope blocks ("scope /16" means every
-/24 inside the /16 gets this answer).  This cache exploits exactly that
-declaration: the first query of a block runs the zone's *planner*, which
-performs the expensive pure derivation once (assignment lookup, relay
-filtering, record-object construction) and hands back an
-:class:`~repro.dns.zone.AnswerPlan`; the plan is stored keyed by
-``(qname, rtype, scope-block)`` and every query — first or repeat —
-calls ``plan.produce()``, which replays the per-query tail (the relay
-service's answer rotation) exactly as the uncached handler would.  Scan
-results are therefore *bit-identical* with the cache on or off, by
-construction rather than by luck.  Switching it off (``enabled =
-False``) also makes :meth:`ScopeAnswerCache.replay_program` refuse, so
-the scanner runs its message-level reference path: the oracle the
-kernel equivalence suites diff against.
+The ECS scanner and the Atlas and relay-client resolvers send queries
+whose answers the server itself declares valid for whole scope blocks
+("scope /16" means every /24 inside the /16 gets this answer).  A relay
+name registers an *answer table* with its zone
+(:meth:`~repro.dns.zone.Zone.answer_table`): its assignment map's v4
+answer partition (:class:`repro.relay.service.AnswerPartition`) plus the
+current epoch's answer per roster entry.  The cache fetches the table
+once per epoch, and a query with an IPv4 client subnet bisects the row
+starts on the subnet's integer value and calls the row's
+``answer.produce()``, which replays the per-query tail (the relay
+service's answer rotation) exactly as the zone's handler would.
+Nothing is planned or stored per block.  Static records, NODATA and
+NXDOMAIN keep one constant per (qname, rtype)
+(:meth:`~repro.dns.zone.Zone.static_result`).  Everything else — a
+dynamic name without a table, a nested assignment map, a query without
+an IPv4 subnet, a CNAME chase — is derived per query by the zone's
+handler.  Results are therefore *bit-identical* with the cache on or
+off, by construction.  Switching it off (``enabled = False``) also
+makes :meth:`ScopeAnswerCache.replay_program` refuse, so the scanner
+runs its message-level reference path: the oracle the kernel
+equivalence suites diff against.
 
 Replay programs, the batch-replay kernel's input, are cached beside the
-plans under the same token.  A program is a slice of the zone's answer
-partition plus the current epoch's answer specs.  The relay zone's
-partition belongs to its assignment map and is built once per map
-version (:meth:`repro.relay.service.AssignmentMap.answer_partition`):
-a deployment-epoch change leaves the map alone, so it drops the cached
-programs but rebuilds only their specs, one per distinct answer.
+tables under the same token.  A program is a slice of the same answer
+partition plus the current epoch's answer specs.  The partition belongs
+to the assignment map and is built once per map version
+(:meth:`repro.relay.service.AssignmentMap.answer_partition`): a
+deployment-epoch change leaves the map alone, so it drops the cached
+tables and programs but rebuilds only their answers, one per roster
+entry.
 
 Staleness is impossible by keying on the zone's epoch token
 (:meth:`~repro.dns.zone.Zone.epoch_token`): zone content version plus
 registered epoch sources such as relay-fleet deployment epochs, which in
 turn advance with the shared :class:`~repro.simtime.SimClock`.  Any
 token change — a relay activating or retiring mid-scan, a record added
-between monthly scans — drops every cached plan.
+between monthly scans — drops every cached entry.
 
-Server query accounting is unaffected: the cache sits below the
+Accounting: a query answered from an entry already cached in the epoch
+counts as a hit; the query that fetches the entry, and every query the
+handler derives, counts as a miss, so ``hits + misses`` is the query
+count.  Server query accounting is unaffected: the cache sits below the
 :class:`~repro.dns.server.AuthoritativeServer` stats counters, which
-increment once per query whether or not a plan was reused.
+increment once per query however it was answered.
 """
 
 from __future__ import annotations
@@ -43,34 +53,15 @@ from bisect import bisect_right
 
 from repro.dns.name import DnsName
 from repro.dns.rr import RRType
-from repro.dns.zone import ANY_SUBNET, UNCACHED, LookupResult, Zone
+from repro.dns.zone import LookupResult, Zone
 from repro.netmodel.addr import Prefix
 from repro.perfstats import CacheStats
 
-class _NameEntry:
-    """Cached plans for one (qname, rtype): per-block plus sentinels.
+#: Entry marker: (qname, rtype) is derived by the zone's handler per query.
+_DERIVED = None
 
-    Blocks are kept as disjoint integer intervals in start order per IP
-    version, so the per-query probe is one bisect.  Should a planner ever
-    store overlapping blocks (no current planner does — assignment units
-    are disjoint and fallback blocks are checked against them), the entry
-    migrates to a per-length dict layout that preserves most-specific-
-    block-wins semantics.
-    """
-
-    __slots__ = ("any_plan", "no_subnet_plan", "starts", "ends", "plans", "by_length")
-
-    def __init__(self) -> None:
-        self.any_plan = None
-        self.no_subnet_plan = None
-        #: Per IP version: block starts / inclusive ends / plans, three
-        #: parallel lists sorted by start.
-        self.starts: dict[int, list[int]] = {4: [], 6: []}
-        self.ends: dict[int, list[int]] = {4: [], 6: []}
-        self.plans: dict[int, list[object]] = {4: [], 6: []}
-        #: The overlap fallback: per IP version, [(block length, {masked
-        #: value: plan})] most specific first.  None until first overlap.
-        self.by_length: dict[int, list[tuple[int, dict[int, object]]]] | None = None
+#: ``dict.get`` default: no entry fetched yet in this epoch.
+_UNFETCHED = object()
 
 
 class ReplayProgram:
@@ -124,8 +115,9 @@ class ReplayProgram:
         return len(self.row_ends)
 
 
+
 class ScopeAnswerCache:
-    """Caches answer plans per (qname, rtype, scope-block, epoch)."""
+    """Caches answer tables, static answers and replay programs per epoch."""
 
     def __init__(self) -> None:
         self.enabled = True
@@ -137,13 +129,16 @@ class ScopeAnswerCache:
         self._misses = self.stats.counter("misses")
         self._invalidations = self.stats.counter("invalidations")
         self._token: tuple | None = None
-        self._entries: dict[tuple[DnsName, RRType], _NameEntry] = {}
+        #: Per (qname, rtype): the answer table as ``(row starts, row
+        #: answer index, answers)``, a constant :class:`LookupResult`, or
+        #: :data:`_DERIVED`.
+        self._entries: dict[tuple[DnsName, RRType], object] = {}
         #: Compiled replay programs, keyed (qname, rtype, lo, hi); same
-        #: epoch scoping as the plan entries (any token change clears).
+        #: epoch scoping as the entries (any token change clears).
         self._programs: dict[tuple[DnsName, RRType, int, int], ReplayProgram] = {}
 
     def _invalidate(self) -> None:
-        """Drop plans and programs together (one invalidation count)."""
+        """Drop entries and programs together (one invalidation count)."""
         if self._entries or self._programs:
             self._entries.clear()
             self._programs.clear()
@@ -156,8 +151,8 @@ class ScopeAnswerCache:
 
         Built from the zone's registered replay enumerator
         (:meth:`~repro.dns.zone.Zone.replay_enumerator`) on first use per
-        epoch and cached under the same token discipline as answer
-        plans.  Building one counts neither hits nor misses — per
+        epoch and cached under the same token discipline as the answer
+        tables.  Building one counts neither hits nor misses — per
         partition-invariance, program-served queries are accounted as
         cache hits by the kernel (:meth:`record_program_hits`), keeping
         ``hits + misses`` equal to the query count for any worker split.
@@ -193,118 +188,45 @@ class ScopeAnswerCache:
         rtype: RRType,
         subnet: Prefix | None,
     ) -> LookupResult:
-        """Resolve via cached plan, planning on miss.
+        """One query's answer: from the epoch's table or constant, else derived.
 
-        Falls back to ``zone.lookup`` (uncached, exact) when the zone
-        declines to plan the answer.
+        An IPv4 subnet on a tabulated name takes its partition row's
+        answer; a static name its constant.  Anything else falls back
+        to ``zone.lookup`` (uncached, exact).
         """
         token = zone.epoch_token()
         if token != self._token:
             self._invalidate()
             self._token = token
-        entry = self._entries.get((name, rtype))
-        if entry is not None:
-            plan = self._probe(entry, subnet)
-            if plan is not None:
-                self._hits.value += 1
-                return plan.produce()
+        key = (name, rtype)
+        entry = self._entries.get(key, _UNFETCHED)
+        if entry is _UNFETCHED:
+            entry = self._entries[key] = self._fetch(zone, name, rtype)
+            counter = self._misses
+        else:
+            counter = self._hits
+        if entry.__class__ is tuple:
+            if subnet is not None and subnet.version == 4:
+                counter.value += 1
+                starts, index, answers = entry
+                return answers[index[bisect_right(starts, subnet.value) - 1]].produce()
+        elif entry is not _DERIVED:
+            counter.value += 1
+            return entry
         self._misses.value += 1
-        planned = zone.lookup_plan(name, rtype, subnet)
-        if planned is None:
-            return zone.lookup(name, rtype, subnet)
-        block, plan = planned
-        if block is not UNCACHED:
-            self._store(name, rtype, block, plan)
-        return plan.produce()
+        return zone.lookup(name, rtype, subnet)
 
-    def _probe(self, entry: _NameEntry, subnet: Prefix | None):
-        if entry.any_plan is not None:
-            return entry.any_plan
-        if subnet is None:
-            return entry.no_subnet_plan
-        if entry.by_length is not None:
-            return self._probe_mixed(entry, subnet)
-        version = subnet.version
-        starts = entry.starts[version]
-        if not starts:
-            return None
-        value = subnet.value
-        pos = bisect_right(starts, value) - 1
-        if pos < 0:
-            return None
-        # The block must contain the whole subnet, not just its start
-        # (a stored block more specific than the query does not apply).
-        subnet_end = value + (1 << (subnet.bits - subnet.length)) - 1
-        if entry.ends[version][pos] >= subnet_end:
-            return entry.plans[version][pos]
-        return None
-
-    def _probe_mixed(self, entry: _NameEntry, subnet: Prefix):
-        pairs = entry.by_length[subnet.version]
-        value, bits, max_length = subnet.value, subnet.bits, subnet.length
-        for length, blocks in pairs:
-            if length > max_length:
-                continue
-            plan = blocks.get(value >> (bits - length) << (bits - length))
-            if plan is not None:
-                return plan
-        return None
-
-    def _store(self, name, rtype, block, plan) -> None:
-        entry = self._entries.get((name, rtype))
-        if entry is None:
-            entry = self._entries[(name, rtype)] = _NameEntry()
-        if block is ANY_SUBNET:
-            entry.any_plan = plan
-        elif block is None:
-            entry.no_subnet_plan = plan
-        else:
-            assert isinstance(block, Prefix)
-            if entry.by_length is not None:
-                self._store_mixed(entry, block, plan)
-                return
-            version = block.version
-            starts = entry.starts[version]
-            start = block.value
-            end = start + (1 << (block.bits - block.length)) - 1
-            pos = bisect_right(starts, start)
-            if (pos > 0 and entry.ends[version][pos - 1] >= start) or (
-                pos < len(starts) and starts[pos] <= end
-            ):
-                self._migrate_to_mixed(entry)
-                self._store_mixed(entry, block, plan)
-                return
-            starts.insert(pos, start)
-            entry.ends[version].insert(pos, end)
-            entry.plans[version].insert(pos, plan)
-
-    def _migrate_to_mixed(self, entry: _NameEntry) -> None:
-        entry.by_length = {4: [], 6: []}
-        for version, bits in ((4, 32), (6, 128)):
-            starts = entry.starts[version]
-            ends = entry.ends[version]
-            plans = entry.plans[version]
-            for start, end, plan in zip(starts, ends, plans):
-                length = bits - (end - start + 1).bit_length() + 1
-                self._store_mixed_one(entry, version, length, start, plan)
-            starts.clear()
-            ends.clear()
-            plans.clear()
-
-    def _store_mixed(self, entry: _NameEntry, block: Prefix, plan) -> None:
-        self._store_mixed_one(entry, block.version, block.length, block.value, plan)
-
-    def _store_mixed_one(self, entry, version, length, value, plan) -> None:
-        pairs = entry.by_length[version]
-        for pair_length, blocks in pairs:
-            if pair_length == length:
-                blocks[value] = plan
-                break
-        else:
-            pairs.append((length, {value: plan}))
-            pairs.sort(key=lambda pair: pair[0], reverse=True)
+    @staticmethod
+    def _fetch(zone: Zone, name: DnsName, rtype: RRType) -> object:
+        """The epoch's entry for (name, rtype); see :attr:`_entries`."""
+        table = zone.answer_table(name, rtype)
+        if table is not None:
+            partition, answers = table
+            return partition.starts, partition.roster_index, answers
+        result = zone.static_result(name, rtype)
+        return _DERIVED if result is None else result
 
     def clear(self) -> None:
-        """Drop every cached plan and program (counts as an invalidation)."""
+        """Drop every cached entry and program (counts as an invalidation)."""
         self._invalidate()
         self._token = None

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 from repro.errors import DnsWireError
 from repro.dns.edns import ClientSubnetOption, EdnsOptions
 from repro.dns.name import DnsName
-from repro.dns.rr import RRClass, RRType, ResourceRecord
-from repro.netmodel.addr import Prefix
+from repro.dns.rr import RRClass, RRType, ResourceRecord, record_addresses
+from repro.netmodel.addr import IPAddress, Prefix
 
 
 class Opcode(enum.IntEnum):
@@ -67,6 +67,12 @@ class DnsMessage:
     authorities: tuple[ResourceRecord, ...] = field(default_factory=tuple)
     additionals: tuple[ResourceRecord, ...] = field(default_factory=tuple)
     edns: EdnsOptions | None = None
+    #: The A/AAAA addresses of ``answers``, when the message was made
+    #: from an already-decoded tuple (see :meth:`reply`); derived data,
+    #: so it takes no part in equality or the repr.
+    addresses: tuple[IPAddress, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not 0 <= self.message_id <= 0xFFFF:
@@ -109,12 +115,15 @@ class DnsMessage:
         authoritative: bool = False,
         recursion_available: bool = True,
         ecs_scope: int | None = None,
+        addresses: tuple[IPAddress, ...] | None = None,
     ) -> "DnsMessage":
         """Build a response to this query.
 
         ``ecs_scope`` echoes the query's ECS option with the given scope
         prefix length, per RFC 7871 server behaviour; it is ignored when
-        the query carried no ECS option.
+        the query carried no ECS option.  ``addresses``, when given, must
+        be the A/AAAA addresses of ``answers`` in order:
+        :meth:`answer_addresses` then returns it without decoding.
         """
         edns = None
         if self.edns is not None:
@@ -136,6 +145,7 @@ class DnsMessage:
             question=self.question,
             answers=tuple(answers),
             edns=edns,
+            addresses=addresses,
         )
 
     # ------------------------------------------------------------------
@@ -147,13 +157,17 @@ class DnsMessage:
         """The ECS option, if the message carries one."""
         return self.edns.client_subnet if self.edns is not None else None
 
-    def answer_addresses(self):
-        """Addresses from all A/AAAA answer records."""
-        return [
-            rr.address
-            for rr in self.answers
-            if rr.rtype in (RRType.A, RRType.AAAA)
-        ]
+    def answer_addresses(self) -> tuple[IPAddress, ...]:
+        """Addresses from all A/AAAA answer records, in order.
+
+        The shared tuple :meth:`reply` was handed, if any
+        (the authoritative server passes each relay rotation's), else
+        decoded from the records.
+        """
+        addresses = self.addresses
+        if addresses is None:
+            addresses = record_addresses(self.answers)
+        return addresses
 
     @property
     def is_nodata(self) -> bool:

@@ -46,7 +46,7 @@ class Resolver(abc.ABC):
 
     def resolve_addresses(
         self, name: DnsName | str, rtype: RRType, client_address: IPAddress | None = None
-    ) -> list[IPAddress]:
+    ) -> tuple[IPAddress, ...]:
         """Resolve and return just the answer addresses (possibly empty)."""
         return self.resolve(name, rtype, client_address).answer_addresses()
 
@@ -55,6 +55,8 @@ class Resolver(abc.ABC):
 class _CacheEntry:
     response: DnsMessage
     expires_at: float
+    #: The upstream query, sent again when the entry has expired.
+    query: DnsMessage
 
 
 class RecursiveResolver(Resolver):
@@ -84,6 +86,9 @@ class RecursiveResolver(Resolver):
         self.cache_enabled = cache_enabled
         self.name = name or f"resolver@{address}"
         self._cache: dict[tuple[DnsName, RRType, Prefix | None], _CacheEntry] = {}
+        #: The ECS prefix last built per source address: probes and relay
+        #: clients resolve again and again from the same address.
+        self._ecs_prefixes: dict[IPAddress, Prefix] = {}
         self.upstream_queries = 0
 
     def _ecs_for(self, client_address: IPAddress | None) -> Prefix | None:
@@ -91,7 +96,10 @@ class RecursiveResolver(Resolver):
             return None
         source = client_address if client_address is not None else self.address
         length = self.ecs_source_len if source.version == 4 else 56
-        return source.to_prefix(length)
+        ecs = self._ecs_prefixes.get(source)
+        if ecs is None or ecs.length != length:
+            ecs = self._ecs_prefixes[source] = source.to_prefix(length)
+        return ecs
 
     def resolve(
         self,
@@ -104,15 +112,17 @@ class RecursiveResolver(Resolver):
             name = DnsName.parse(name)
         ecs = self._ecs_for(client_address)
         cache_key = (name, rtype, ecs)
-        if self.cache_enabled:
-            entry = self._cache.get(cache_key)
-            if entry is not None and entry.expires_at > self.clock.now:
-                return entry.response
+        entry = self._cache.get(cache_key) if self.cache_enabled else None
+        if entry is not None and entry.expires_at > self.clock.now:
+            return entry.response
         server = self.registry.authoritative_for(name)
         if server is None:
             # No delegation found: a real recursive returns SERVFAIL.
             return DnsMessage.query(name, rtype).reply(rcode=Rcode.SERVFAIL)
-        query = DnsMessage.query(name, rtype, ecs=ecs)
+        if entry is not None:
+            query = entry.query
+        else:
+            query = DnsMessage.query(name, rtype, ecs=ecs)
         self.upstream_queries += 1
         if isinstance(server, WhoamiServer):
             response = server.handle_from(query, self.address)
@@ -120,7 +130,9 @@ class RecursiveResolver(Resolver):
             response = server.handle(query, source_address=self.address)
         if self.cache_enabled:
             ttl = min((rr.ttl for rr in response.answers), default=60)
-            self._cache[cache_key] = _CacheEntry(response, self.clock.now + ttl)
+            self._cache[cache_key] = _CacheEntry(
+                response, self.clock.now + ttl, query
+            )
         return response
 
     def flush_cache(self) -> None:

@@ -113,6 +113,13 @@ _RDATA_TYPES: dict[RRType, type | tuple[type, ...]] = {
 }
 
 
+def record_addresses(records) -> tuple[IPAddress, ...]:
+    """The addresses of the A/AAAA records among ``records``, in order."""
+    return tuple(
+        rr.address for rr in records if rr.rtype in (RRType.A, RRType.AAAA)
+    )
+
+
 def a_record(name: DnsName, address: IPAddress, ttl: int = 60) -> ResourceRecord:
     """Convenience constructor for an A record."""
     return ResourceRecord(name, RRType.A, RRClass.IN, ttl, address)

@@ -201,12 +201,17 @@ class AuthoritativeServer:
         self._n_nodata = self.stats.counter("nodata")
         self._n_answered = self.stats.counter("answered")
         self._n_refused = self.stats.counter("refused")
-        #: Scope-block answer-plan cache (the scan fast path).  Always
-        #: wired; setting ``enabled`` to False selects the scanner's
-        #: message-level reference path (results are identical either
-        #: way) — the one switch for the kernel-vs-oracle checks.
+        #: Per-epoch answer cache (answer tables, static constants and
+        #: the kernel's replay programs).  Always wired; setting
+        #: ``enabled`` to False selects the scanner's message-level
+        #: reference path (results are identical either way) — the one
+        #: switch for the kernel-vs-oracle checks.
         self.answer_cache = ScopeAnswerCache()
         self._zones: list[Zone] = []
+        #: The effective subnet last built per transport source address
+        #: of a query without ECS (an Atlas probe asking directly, a
+        #: resolver that forwards no ECS).
+        self._source_subnets: dict[IPAddress, Prefix] = {}
         self._zone_for: dict[DnsName, Zone | None] = {}
         self.zone_for_stats = CacheStats()
 
@@ -275,7 +280,10 @@ class AuthoritativeServer:
                     subnet = subnet.truncate(policy.max_source_v4)
         elif source_address is not None:
             length = policy.max_source_v4 if source_address.version == 4 else 56
-            subnet = source_address.to_prefix(length)
+            subnet = self._source_subnets.get(source_address)
+            if subnet is None or subnet.length != length:
+                subnet = source_address.to_prefix(length)
+                self._source_subnets[source_address] = subnet
         if self.answer_cache.enabled:
             result = self.answer_cache.lookup(
                 zone, question.name, question.rtype, subnet
@@ -314,10 +322,11 @@ class AuthoritativeServer:
         self._n_answered.value += 1
         return query.reply(
             rcode=Rcode.NOERROR,
-            answers=tuple(result.records),
+            answers=result.records,
             authoritative=True,
             recursion_available=False,
             ecs_scope=scope,
+            addresses=result.addresses,
         )
 
     def serves(self, name: DnsName) -> bool:

@@ -12,29 +12,31 @@ optionally as a function of the ECS client subnet.  The relay service
 registers its ingress assignment logic this way, mirroring how Route 53
 serves subnet-dependent answers for ``mask.icloud.com``.
 
-For the scan fast path, a dynamic name may additionally register a
-*planner*: given the effective client subnet it derives the scope block
-the answer is valid for and returns an :class:`AnswerPlan` whose
-``produce()`` emits one query's records.  The server's scope-block cache
-(:mod:`repro.dns.answer_cache`) stores plans per block and replays
-``produce()`` per query, so per-query side effects (the relay service's
-record rotation) advance exactly as they would without the cache and the
-fast path stays bit-identical.  Cache freshness hangs off
-:meth:`Zone.epoch_token`: the zone's content version plus any registered
-epoch sources (the relay service contributes its fleets' deployment
-epochs, driven by the shared SimClock).
+A dynamic name may also register an *answer table*: the current epoch's
+v4 answer partition (ascending row starts covering the whole IPv4
+space, one answer index per row) plus the answers it indexes.  The
+server's answer cache (:mod:`repro.dns.answer_cache`) answers an IPv4
+ECS query on such a name by bisecting the row starts and calling the
+row's ``answer.produce()``, which replays the per-query tail (the relay
+service's record rotation) exactly as the handler would; the batch
+kernel's replay programs are slices of the same partition.  Static
+names and NXDOMAIN resolve to one constant :class:`LookupResult` per
+(name, rtype) (:meth:`Zone.static_result`).  Freshness hangs off
+:meth:`Zone.epoch_token`: the zone's content version plus any
+registered epoch sources (the relay service contributes its fleets'
+deployment epochs, driven by the shared SimClock).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from repro.errors import ZoneError
 from repro.dns.name import DnsName
-from repro.dns.rr import RRClass, RRType, ResourceRecord, SoaData
-from repro.netmodel.addr import Prefix
+from repro.dns.rr import RRClass, RRType, ResourceRecord, SoaData, record_addresses
+from repro.netmodel.addr import IPAddress, Prefix
 
 #: A dynamic name handler: receives the queried name and the effective
 #: client subnet (the ECS source, or None), and returns the answer
@@ -45,52 +47,15 @@ DynamicHandler = Callable[
 ]
 
 
-class AnswerPlan(Protocol):
-    """One scope block's answer supply.
-
-    ``produce()`` returns one query's :class:`LookupResult`, performing
-    any per-query side effects (e.g. rotation bookkeeping) exactly as the
-    plain dynamic handler would.
-    """
-
-    def produce(self) -> "LookupResult": ...
-
-
-class _AnySubnet:
-    """Sentinel block: the plan is valid regardless of client subnet."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "ANY_SUBNET"
-
-
-#: Block value declaring a plan valid for every query of its (name, rtype),
-#: with or without a client subnet (static zone content).
-ANY_SUBNET = _AnySubnet()
-
-
-class _Uncached:
-    """Sentinel block: use the plan for this query only, do not store it."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "UNCACHED"
-
-
-#: Block value declaring a single-use plan.  The planner already did the
-#: derivation work, so the cache consumes the plan once instead of falling
-#: back to the handler (which would derive a second time).
-UNCACHED = _Uncached()
-
-#: A dynamic name planner: receives the queried name and the effective
-#: client subnet and returns (block, plan), where ``block`` is the scope
-#: block the plan is valid for within the current epoch — a
-#: :class:`~repro.netmodel.addr.Prefix`, None (valid only for queries with
-#: no effective subnet), or :data:`ANY_SUBNET`.  Returning None instead of
-#: the tuple means the answer cannot safely be reused for a whole block
-#: (the cache then falls back to the plain handler, uncached).
-DynamicPlanner = Callable[
-    [DnsName, Optional[Prefix]],
-    Optional[tuple[object, AnswerPlan]],
-]
+#: An answer-table source: returns ``(partition, answers)`` for the
+#: current epoch, or None when the name's answers cannot be tabulated
+#: (e.g. nested assignment units).  ``partition.starts`` holds ascending
+#: ``array('I')`` row starts, the first at 0, so every IPv4 address
+#: falls in exactly one row; ``partition.roster_index[row]`` indexes
+#: ``answers``, whose ``produce()`` returns one query's
+#: :class:`LookupResult` (advancing any per-query state exactly as the
+#: dynamic handler would for a v4 client subnet inside that row).
+AnswerTableSource = Callable[[], Optional[tuple[object, list]]]
 
 
 @dataclass(slots=True)
@@ -100,29 +65,15 @@ class LookupResult:
     exists: bool
     records: list[ResourceRecord] = field(default_factory=list)
     scope_override: int | None = None
+    #: The A/AAAA addresses of ``records`` in order, when the producer
+    #: shares a decoded tuple (relay rotations, static constants); None
+    #: leaves decoding to :meth:`repro.dns.message.DnsMessage.answer_addresses`.
+    addresses: tuple[IPAddress, ...] | None = None
 
     @property
     def is_nodata(self) -> bool:
         """Name exists but has no records of the queried type."""
         return self.exists and not self.records
-
-
-class _ConstantPlan:
-    """An :class:`AnswerPlan` for subnet-independent (static) results."""
-
-    __slots__ = ("_exists", "_records", "_scope")
-
-    def __init__(self, result: LookupResult) -> None:
-        self._exists = result.exists
-        self._records = result.records
-        self._scope = result.scope_override
-
-    def produce(self) -> LookupResult:
-        return LookupResult(
-            exists=self._exists,
-            records=list(self._records),
-            scope_override=self._scope,
-        )
 
 
 class Zone:
@@ -145,7 +96,7 @@ class Zone:
         self.version = 0
         self._static: dict[DnsName, dict[RRType, list[ResourceRecord]]] = {}
         self._dynamic: dict[tuple[DnsName, RRType], DynamicHandler] = {}
-        self._planners: dict[tuple[DnsName, RRType], DynamicPlanner] = {}
+        self._tables: dict[tuple[DnsName, RRType], AnswerTableSource] = {}
         self._dynamic_names: set[DnsName] = set()
         self._epoch_sources: list[Callable[[], object]] = []
         self._epoch_horizons: list[Callable[[], float] | None] = []
@@ -169,9 +120,9 @@ class Zone:
         name: DnsName | str,
         rtype: RRType,
         handler: DynamicHandler,
-        planner: DynamicPlanner | None = None,
+        table: AnswerTableSource | None = None,
     ) -> None:
-        """Register a per-query handler (and optional planner) for (name, rtype)."""
+        """Register a per-query handler (and optional answer table) for (name, rtype)."""
         if isinstance(name, str):
             name = DnsName.parse(name)
         self._check_in_zone(name)
@@ -179,8 +130,8 @@ class Zone:
         if key in self._dynamic:
             raise ZoneError(f"dynamic handler already registered for {name} {rtype.name}")
         self._dynamic[key] = handler
-        if planner is not None:
-            self._planners[key] = planner
+        if table is not None:
+            self._tables[key] = table
         self._dynamic_names.add(name)
         self.version += 1
 
@@ -235,7 +186,7 @@ class Zone:
         rtype: RRType,
         enumerator: Callable[[int, int], tuple | None],
     ) -> None:
-        """Register a range enumerator for (name, rtype) answer plans.
+        """Register a range enumerator for (name, rtype) replay programs.
 
         ``enumerator(lo, hi)`` returns the answer structure of the whole
         address range ``[lo, hi]`` for the *current* epoch as
@@ -346,35 +297,33 @@ class Zone:
                 records.extend(target.records)
         return LookupResult(exists=True, records=records)
 
-    def lookup_plan(
-        self, name: DnsName, rtype: RRType, client_subnet: Prefix | None = None
-    ) -> tuple[object, AnswerPlan] | None:
-        """A cacheable answer plan for (name, type, subnet), or None.
+    def answer_table(self, name: DnsName, rtype: RRType) -> tuple[object, list] | None:
+        """The current epoch's ``(partition, answers)`` for a dynamic name.
 
-        None means the answer must not be reused across queries (dynamic
-        handler without a planner, or a planner declining the block); the
-        caller falls back to :meth:`lookup` per query.
-
-        Unlike :meth:`lookup` this does not re-verify the name lies in
-        the zone — the caller (the server's answer cache) only reaches a
-        zone through :meth:`AuthoritativeServer.zone_for`, and this runs
-        once per query on the fast path.
+        None when (name, rtype) registered no :data:`AnswerTableSource`
+        or its source declines (see :meth:`add_dynamic`).
         """
-        key = (name, rtype)
-        planner = self._planners.get(key)
-        if planner is not None:
-            return planner(name, client_subnet)
-        if key in self._dynamic:
+        source = self._tables.get((name, rtype))
+        return source() if source is not None else None
+
+    def static_result(self, name: DnsName, rtype: RRType) -> LookupResult | None:
+        """The subnet-independent answer for (name, type), or None.
+
+        Static records, NODATA and NXDOMAIN answers do not depend on the
+        client subnet, so the answer cache keeps one per epoch.  None
+        for a dynamic handler's (name, type) and for a CNAME chase,
+        whose target may be dynamic: those derive per query.
+        """
+        if (name, rtype) in self._dynamic:
             return None
         by_type = self._static.get(name)
-        if by_type is None and name not in self._dynamic_names:
-            return ANY_SUBNET, _ConstantPlan(LookupResult(exists=False))
-        records = list(by_type.get(rtype, [])) if by_type else []
-        if not records and by_type and RRType.CNAME in by_type:
-            # CNAME chases may land on a dynamic (subnet-dependent) target;
-            # leave them uncached rather than reason about the chain.
+        if by_type and rtype not in by_type and RRType.CNAME in by_type:
             return None
-        return ANY_SUBNET, _ConstantPlan(LookupResult(exists=True, records=records))
+        result = self.lookup(name, rtype)
+        records = tuple(result.records)
+        result.records = records
+        result.addresses = record_addresses(records)
+        return result
 
     def soa_record(self) -> ResourceRecord:
         """The zone's SOA as a resource record (for negative responses)."""

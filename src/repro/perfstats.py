@@ -1,7 +1,7 @@
 """Hit/miss counters for the fast-path caches.
 
-Every cache added by the scan fast path (name interning, scope-block
-answer plans, zone routing, origin memoisation, assignment memoisation)
+Every cache added by the scan fast path (name interning, per-epoch
+answer tables, zone routing, origin memoisation, assignment memoisation)
 exposes one of these so the perf harness — and the telemetry exporter —
 can observe cache effectiveness without poking at cache internals.
 

@@ -74,15 +74,15 @@ class DnsConfig:
         """Whether a local zone overrides live resolution."""
         return bool(self.fixed_records)
 
-    def lookup(self, name: str, rtype: RRType) -> list[IPAddress]:
+    def lookup(self, name: str, rtype: RRType) -> tuple[IPAddress, ...]:
         """Resolve ``name`` under this configuration.
 
         Raises :class:`ResolutionTimeout` when the resolver never
-        answers; returns an empty list for blocked/NXDOMAIN outcomes.
+        answers; returns an empty tuple for blocked/NXDOMAIN outcomes.
         """
-        key = (str(DnsName.parse(name)), rtype)
         if self.is_fixed:
-            return list(self.fixed_records.get(key, []))
+            key = (str(DnsName.parse(name)), rtype)
+            return tuple(self.fixed_records.get(key, ()))
         if self.resolver is None:
             raise RelayUnavailable("client has no DNS configuration")
         return self.resolver.resolve_addresses(name, rtype)
@@ -135,7 +135,7 @@ class RelayClient:
 
     def resolve_ingress(
         self, protocol: RelayProtocol = RelayProtocol.QUIC, version: int = 4
-    ) -> list[IPAddress]:
+    ) -> tuple[IPAddress, ...]:
         """Resolve the relay domain for a protocol and address family."""
         domain = (
             RELAY_DOMAIN_QUIC

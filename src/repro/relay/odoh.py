@@ -84,7 +84,7 @@ class ObliviousDnsPath:
 
     def resolve_addresses(
         self, name: DnsName | str, rtype: RRType, optimise_for_egress: bool = True
-    ) -> list[IPAddress]:
+    ) -> tuple[IPAddress, ...]:
         """Resolve and return the answer addresses."""
         return self.resolve(name, rtype, optimise_for_egress).answer_addresses()
 

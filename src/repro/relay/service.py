@@ -27,7 +27,7 @@ from repro.errors import ConnectionFailed, RelayError, RelayUnavailable
 from repro.faults.plan import FaultPlan, fault_key
 from repro.dns.name import DnsName
 from repro.dns.rr import RRType, ResourceRecord, a_record, aaaa_record
-from repro.dns.zone import UNCACHED, LookupResult, Zone
+from repro.dns.zone import LookupResult, Zone
 from repro.masque.http import ConnectRequest, HttpVersion
 from repro.masque.proxy import MasqueTunnel, establish_tunnel
 from repro.masque.streams import Direction, PaddingPolicy, TunnelDataPlane
@@ -164,8 +164,9 @@ class AnswerPartition:
     once, here.
 
     The partition depends on the map alone, never on the deployment
-    epoch: the relay enumerator slices it per scan range and pairs the
-    slice with the current epoch's answer specs, one per roster entry.
+    epoch: paired with the current epoch's answer per roster entry it is
+    the relay names' answer table, which the answer cache bisects per
+    query and the replay enumerator slices per scan range.
     """
 
     __slots__ = ("version", "starts", "ends", "roster_index", "roster", "__weakref__")
@@ -238,7 +239,7 @@ class AssignmentMap:
         self._trie: DualStackTrie[AssignmentUnit] | None = None
         self._units: list[AssignmentUnit] = []
         # Units per address family in start-value order (parallel lists),
-        # for the bisect fast path and the planner's overlap probes.
+        # for the bisect fast path and the nesting probes.
         self._starts: dict[int, list[int]] = {4: [], 6: []}
         self._ends: dict[int, list[int]] = {4: [], 6: []}
         self._sorted_units: dict[int, list[AssignmentUnit]] = {4: [], 6: []}
@@ -247,17 +248,17 @@ class AssignmentMap:
         #: and dropped by every edit (see :meth:`answer_partition`).
         self._partition: AnswerPartition | None = None
         #: Bumped on every :meth:`add` and :meth:`remove`; participates
-        #: in the relay zone's epoch token so cached answer plans never
+        #: in the relay zone's epoch token so cached answer tables never
         #: survive a map edit.
         self.version = 0
 
     def add(self, unit: AssignmentUnit) -> AssignmentUnit:
         """Register a unit."""
         prefix = unit.prefix
-        # Detect units nesting inside or covering existing ones.  The
-        # planner only hands out block-cacheable answers when units are
-        # disjoint — with nesting, one block could span several units —
-        # and :meth:`lookup` falls back from bisect to the trie.  Two
+        # Detect units nesting inside or covering existing ones.  Only
+        # disjoint units partition the address space (see
+        # :meth:`answer_partition`); with nesting, :meth:`lookup` falls
+        # back from bisect to the trie.  Two
         # prefixes either nest or are disjoint (aligned power-of-two
         # ranges cannot partially overlap), so both directions reduce to
         # bisect probes of the sorted starts/ends — the trie itself is
@@ -285,7 +286,7 @@ class AssignmentMap:
 
         Deployment churn (block withdrawals, unit replacements) edits a
         live map; bumping :attr:`version` rides the zone's epoch token,
-        so every cached answer plan and replay program built against the
+        so every cached answer table and replay program built against the
         old partition is invalidated the moment the unit disappears.
         The longest-match trie, if one was ever materialised, is dropped
         and lazily rebuilt — removals are rare next to lookups.  If units
@@ -339,16 +340,6 @@ class AssignmentMap:
     def has_nested_units(self) -> bool:
         """Whether any two registered units overlap or nest."""
         return self._nested
-
-    def overlaps_block(self, block: Prefix) -> bool:
-        """Whether any unit intersects ``block`` (covers it or starts in it)."""
-        starts = self._starts[block.version]
-        pos = bisect.bisect_left(starts, block.value)
-        if pos < len(starts) and starts[pos] <= block.broadcast_value:
-            return True
-        # A preceding unit whose range reaches the block's start covers
-        # the whole block (prefix ranges nest or are disjoint).
-        return pos > 0 and self._ends[block.version][pos - 1] >= block.value
 
     def answer_partition(self) -> AnswerPartition | None:
         """The v4 answer partition of the current map version.
@@ -453,8 +444,9 @@ class _PodSupplier:
     list, rotation counter, and record objects — only the declared scope
     differs per unit.  Suppliers are memoised per deployment epoch on the
     service, so record construction happens once per rotation offset per
-    epoch instead of once per query.  Rotations are stored as tuples: the
-    server's ``tuple(result.records)`` then costs nothing.
+    epoch instead of once per query.  Each rotation start keeps one
+    ``(records, addresses)`` pair of tuples: replies share both, so
+    nothing downstream copies the records or decodes the addresses.
     """
 
     __slots__ = (
@@ -478,27 +470,23 @@ class _PodSupplier:
         self.counter_key = (pod, protocol, version)
         self._name = name
         self._version = version
-        self._rotations: dict[int, tuple[ResourceRecord, ...]] = {}
+        self._rotations: dict[
+            int, tuple[tuple[ResourceRecord, ...], tuple[IPAddress, ...]]
+        ] = {}
         self._addr_rotations: dict[int, tuple[IPAddress, ...]] = {}
 
-    def rotation(self, start: int) -> tuple[ResourceRecord, ...]:
-        """The ≤8-record answer window beginning at relay index ``start``."""
+    def rotation(
+        self, start: int
+    ) -> tuple[tuple[ResourceRecord, ...], tuple[IPAddress, ...]]:
+        """The ≤8-record answer window at relay index ``start``, and its
+        address tuple (the very one :meth:`rotation_addresses` returns)."""
         out = self._rotations.get(start)
         if out is None:
-            relays = self.relays
-            total = len(relays)
-            count = (
-                MAX_RECORDS_PER_RESPONSE
-                if total > MAX_RECORDS_PER_RESPONSE
-                else total
-            )
+            addresses = self.rotation_addresses(start)
             make = a_record if self._version == 4 else aaaa_record
             name = self._name
-            out = tuple(
-                make(name, relays[(start + i) % total].address)
-                for i in range(count)
-            )
-            self._rotations[start] = out
+            records = tuple(make(name, address) for address in addresses)
+            out = self._rotations[start] = (records, addresses)
         return out
 
     def rotation_addresses(self, start: int) -> tuple[IPAddress, ...]:
@@ -508,8 +496,8 @@ class _PodSupplier:
         builds record objects), so the window is sliced straight from
         the relay roster — the same ``relays[(start + i) % total]``
         walk :meth:`rotation` wraps in records — without constructing
-        the records at all.  Both views hand out the *same* address
-        objects, so identity-based dedup works across paths.
+        the records at all.  :meth:`rotation` pairs its records with this
+        very tuple, so both paths hand out the same tuple object.
         """
         out = self._addr_rotations.get(start)
         if out is None:
@@ -562,7 +550,7 @@ class _BlockAnswer:
         supplier = self._supplier
         relays = supplier.relays
         if not relays:
-            return LookupResult(exists=True, records=(), scope_override=self.scope)
+            return LookupResult(True, (), self.scope, ())
         counters = self._counters
         key = supplier.counter_key
         # A missing key reads as the counters' stream base (0 outside
@@ -570,10 +558,10 @@ class _BlockAnswer:
         offset = counters[key]
         counters[key] = offset + 1
         start = offset % len(relays)
-        records = supplier._rotations.get(start)
-        if records is None:
-            records = supplier.rotation(start)
-        return LookupResult(exists=True, records=records, scope_override=self.scope)
+        window = supplier._rotations.get(start)
+        if window is None:
+            window = supplier.rotation(start)
+        return LookupResult(True, window[0], self.scope, window[1])
 
     def replay_spec(self) -> tuple:
         """The flat spec the batch-replay kernel links against.
@@ -635,10 +623,13 @@ class PrivateRelayService:
     def build_zone(self) -> Zone:
         """The ``icloud.com`` zone with dynamic relay-domain handlers.
 
-        Each relay name registers both a per-query handler (the reference
-        path) and a planner (the answer-cache fast path); the zone's
-        epoch token is extended with the fleets' deployment epochs so
-        cached plans never outlive a relay activation or retirement.
+        Each relay name and type registers a per-query handler (the
+        reference path) and an answer table over the assignment map's v4
+        answer partition (the answer cache's per-query path); the A
+        names also register the batch kernel's replay enumerator, a
+        slice of that same table.  The zone's epoch token is extended
+        with the fleets' deployment epochs so cached tables never
+        outlive a relay activation or retirement.
         """
         zone = Zone(RELAY_ZONE_APEX)
         for domain, protocol in (
@@ -647,18 +638,15 @@ class PrivateRelayService:
         ):
             name = DnsName.parse(domain)
             for rtype, version in ((RRType.A, 4), (RRType.AAAA, 6)):
-                derive, make_enumerator = self._make_deriver(protocol, version)
-                zone.add_dynamic(
-                    name,
-                    rtype,
-                    self._make_handler(derive),
-                    planner=self._make_planner(derive),
-                )
+                derive, table = self._make_deriver(name, protocol, version)
+                zone.add_dynamic(name, rtype, self._make_handler(derive), table)
                 if version == 4:
                     # The batch-replay scan kernel covers the v4 ECS
                     # enumeration (the paper's scan); v6 names keep the
                     # per-query path.
-                    zone.add_replay_enumerator(name, rtype, make_enumerator(name))
+                    zone.add_replay_enumerator(
+                        name, rtype, self._make_enumerator(table)
+                    )
         zone.add_epoch_source(
             self._deployment_epoch_token, horizon=self._deployment_epoch_horizon
         )
@@ -726,18 +714,20 @@ class PrivateRelayService:
         self._deployment_epoch_token()
         return self._epoch_token_window[1]
 
-    def _make_deriver(self, protocol: RelayProtocol, version: int):
-        """The epoch-stable answer derivation shared by handler and planner.
+    def _make_deriver(self, name: DnsName, protocol: RelayProtocol, version: int):
+        """The epoch-stable answer derivation of one relay (name, rtype).
 
-        Returns ``(derive, make_enumerator)``.  ``derive`` is the
-        per-query closure with everything the hot path needs bound
-        locally — the fleet, the assignment map's lookup, the shared pod
-        counters — plus a supplier memo keyed only ``(pod, operator,
-        deployment epoch)``: one deriver serves exactly one registered
-        (name, rtype), so name/protocol/version need not be in the key.
-        ``make_enumerator(name)`` builds the zone's replay-range
-        enumerator over the same memos, so a compiled program's answer
-        objects are the very ones per-query lookups would hand out.
+        Returns ``(derive, table)``.  ``derive`` is the handler's
+        per-query closure with everything it needs bound locally — the
+        fleet, the assignment map's lookup, the shared pod counters —
+        plus a supplier memo keyed only ``(pod, operator, deployment
+        epoch)``: one deriver serves exactly one registered (name,
+        rtype), so name/protocol/version need not be in the key.
+        ``table`` is the zone's :data:`~repro.dns.zone.AnswerTableSource`
+        over the same memos: the map's answer partition and the current
+        epoch's answer per roster entry, so the answer cache and the
+        replay enumerator hand out the very answer objects ``derive``
+        would.
         """
         fleet = self.ingress_v4 if version == 4 else self.ingress_v6
         assignment = self.assignment
@@ -756,9 +746,7 @@ class PrivateRelayService:
         # answers declare a /16 scope for v4 subnets and none otherwise.
         answer_memo: dict[tuple[int, int], _BlockAnswer] = {}
 
-        def answer_for(
-            name: DnsName, unit: AssignmentUnit | None, subnet_v4: bool
-        ) -> _BlockAnswer:
+        def answer_for(unit: AssignmentUnit | None, subnet_v4: bool) -> _BlockAnswer:
             epoch = deployment_epoch(clock.now)
             generation = fleet.epoch_generation
             if unit is not None:
@@ -814,86 +802,52 @@ class PrivateRelayService:
             answer_memo[answer_key] = answer
             return answer
 
-        def derive(name: DnsName, client_subnet: Prefix | None) -> _BlockAnswer:
+        def derive(client_subnet: Prefix | None) -> _BlockAnswer:
             unit = lookup_unit(client_subnet) if client_subnet is not None else None
             return answer_for(
-                name,
-                unit,
-                client_subnet is not None and client_subnet.version == 4,
+                unit, client_subnet is not None and client_subnet.version == 4
             )
 
-        def make_enumerator(name: DnsName):
-            def enumerate_answers(lo: int, hi: int) -> tuple | None:
-                """The replay program of ``[lo, hi]`` in the current epoch.
+        def table() -> tuple[AnswerPartition, list[_BlockAnswer]] | None:
+            """The map's answer partition and the epoch's answer per
+            roster entry — the per-subnet answers ``derive`` gives v4
+            client subnets.  None while units nest."""
+            partition = assignment.answer_partition()
+            if partition is None:
+                return None
+            return partition, [answer_for(unit, True) for unit in partition.roster]
 
-                ``(starts, ends, answer index, specs)``: the map's
-                answer partition sliced to the range (see
-                :class:`AnswerPartition`), indexing one replay spec per
-                roster entry (see :meth:`_BlockAnswer.replay_spec`) —
-                the exact per-subnet partition ``derive`` induces for v4
-                ECS queries.  Only the specs depend on the epoch, and
-                each is a memo hit after the epoch's first compile.
-                None while units nest: the scan then runs per-query
-                lookups.
-                """
-                partition = assignment.answer_partition()
-                if partition is None:
-                    return None
-                specs = [
-                    answer_for(name, unit, True).replay
-                    for unit in partition.roster
-                ]
-                return (*partition.slice(lo, hi), specs)
+        return derive, table
 
-            return enumerate_answers
+    @staticmethod
+    def _make_enumerator(table):
+        def enumerate_answers(lo: int, hi: int) -> tuple | None:
+            """The replay program of ``[lo, hi]`` in the current epoch.
 
-        return derive, make_enumerator
+            ``(starts, ends, answer index, specs)``: the answer table's
+            partition sliced to the range (see :class:`AnswerPartition`),
+            indexing one replay spec per roster entry (see
+            :meth:`_BlockAnswer.replay_spec`).  Only the specs depend on
+            the epoch, and each is a memo hit after the epoch's first
+            compile.  None while units nest: the scan then runs
+            per-query lookups.
+            """
+            tabulated = table()
+            if tabulated is None:
+                return None
+            partition, answers = tabulated
+            return (*partition.slice(lo, hi), [answer.replay for answer in answers])
+
+        return enumerate_answers
 
     def _make_handler(self, derive):
         def handler(
             name: DnsName, client_subnet: Prefix | None
         ) -> tuple[tuple[ResourceRecord, ...], int | None]:
-            result = derive(name, client_subnet).produce()
+            result = derive(client_subnet).produce()
             return result.records, result.scope_override
 
         return handler
-
-    def _make_planner(self, derive):
-        assignment = self.assignment
-
-        def planner(name: DnsName, client_subnet: Prefix | None):
-            answer = derive(name, client_subnet)
-            if client_subnet is None:
-                # Every subnet-less query derives identically.
-                return None, answer
-            unit = answer.unit
-            if unit is not None:
-                # Every subnet inside the unit's prefix derives the same
-                # answer, so the plan's validity region is the whole unit
-                # — typically wider than the declared ECS scope, which is
-                # what turns a scope-pruned scan (one query per declared
-                # block) into cache hits.  With nested units a block
-                # could straddle assignments, so don't store then.
-                if assignment.has_nested_units:
-                    return UNCACHED, answer
-                return unit.prefix, answer
-            scope = answer.scope
-            if scope is None or scope > client_subnet.length:
-                # No declared validity block, or one narrower than the
-                # query's own granularity: single-use only.
-                return UNCACHED, answer
-            if scope == client_subnet.length:
-                # The subnet's value is already network-masked.
-                block = client_subnet
-            else:
-                block = client_subnet.truncate(scope)
-            if assignment.overlaps_block(block):
-                # Fallback answer, but part of the declared /16 is
-                # assigned: subnets inside the block differ.
-                return UNCACHED, answer
-            return block, answer
-
-        return planner
 
     # ------------------------------------------------------------------
     # QUIC listener surface

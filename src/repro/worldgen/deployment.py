@@ -922,7 +922,7 @@ class DeploymentChurn:
     split (half the unit moves to a new pod at finer granularity), and
     a block withdrawal (the space reverts to the operator fallback).
     Every edit goes through :meth:`AssignmentMap.remove`/``add``, so the
-    map version bump invalidates cached answer plans and replay
+    map version bump invalidates cached answer tables and replay
     programs exactly like a real deployment push.
     """
 

@@ -34,7 +34,7 @@ def instrument_server(registry, server) -> None:
     Exposes ``dns.server.*{server=<name>}`` for the six
     :class:`~repro.dns.server.ServerStats` fields, plus
     ``cache.*{cache=answer_plan|zone_for, server=<name>}`` for the
-    scope-block answer cache and the zone-routing memo.
+    per-epoch answer cache and the zone-routing memo.
     """
     name = server.name
     for field in server.stats._FIELDS:

@@ -95,13 +95,13 @@ class TestDohServer:
     def test_end_to_end_post(self, doh_server):
         client = DohClient(doh_server)
         answer = client.resolve(DnsMessage.query(NAME, RRType.A))
-        assert answer.answer_addresses() == [IPAddress.parse("17.0.0.1")]
+        assert answer.answer_addresses() == (IPAddress.parse("17.0.0.1"),)
         assert doh_server.requests_served == 1
 
     def test_end_to_end_get(self, doh_server):
         client = DohClient(doh_server, use_get=True)
         answer = client.resolve(DnsMessage.query(NAME, RRType.A))
-        assert answer.answer_addresses() == [IPAddress.parse("17.0.0.1")]
+        assert answer.answer_addresses() == (IPAddress.parse("17.0.0.1"),)
 
     def test_cache_control_from_ttl(self, doh_server):
         response = doh_server.handle(

@@ -86,7 +86,7 @@ class TestDnsMessage:
         assert response.is_response
         assert response.message_id == 77
         assert response.question == query.question
-        assert response.answer_addresses() == [IPAddress.parse("17.0.0.1")]
+        assert response.answer_addresses() == (IPAddress.parse("17.0.0.1"),)
 
     def test_reply_echoes_ecs_with_scope(self):
         subnet = Prefix.parse("203.0.113.0/24")
@@ -120,4 +120,4 @@ class TestDnsMessage:
         response = query.reply(
             answers=(txt_record(NAME, "x"), a_record(NAME, IPAddress.parse("1.1.1.1")))
         )
-        assert response.answer_addresses() == [IPAddress.parse("1.1.1.1")]
+        assert response.answer_addresses() == (IPAddress.parse("1.1.1.1"),)

@@ -56,7 +56,7 @@ class TestRecursiveResolver:
     def test_resolves(self, registry):
         resolver = make_resolver(registry)
         addresses = resolver.resolve_addresses(MASK, RRType.A)
-        assert addresses == [IPAddress.parse("17.0.0.1")]
+        assert addresses == (IPAddress.parse("17.0.0.1"),)
 
     def test_servfail_for_unknown_zone(self, registry):
         resolver = make_resolver(registry)
@@ -105,7 +105,7 @@ class TestRecursiveResolver:
     def test_whoami_sees_resolver_address(self, registry):
         resolver = make_resolver(registry, send_ecs=False)
         addresses = resolver.resolve_addresses(WHOAMI_DOMAIN, RRType.A)
-        assert addresses == [resolver.address]
+        assert addresses == (resolver.address,)
 
 
 class TestPublicResolvers:
@@ -141,12 +141,12 @@ class TestBlockingResolver:
         resolver = BlockingResolver(
             make_resolver(registry), ["mask.icloud.com"], Rcode.REFUSED
         )
-        assert resolver.resolve_addresses("example.org", RRType.A) == [
-            IPAddress.parse("93.184.216.34")
-        ]
-        assert resolver.resolve_addresses("other.icloud.com", RRType.A) == [
-            IPAddress.parse("17.0.0.2")
-        ]
+        assert resolver.resolve_addresses("example.org", RRType.A) == (
+            IPAddress.parse("93.184.216.34"),
+        )
+        assert resolver.resolve_addresses("other.icloud.com", RRType.A) == (
+            IPAddress.parse("17.0.0.2"),
+        )
 
     def test_subdomain_blocking(self, registry):
         resolver = BlockingResolver(make_resolver(registry), ["icloud.com"])
@@ -164,7 +164,7 @@ class TestHijackingResolver:
         resolver = HijackingResolver(
             make_resolver(registry), ["mask.icloud.com"], target
         )
-        assert resolver.resolve_addresses(MASK, RRType.A) == [target]
+        assert resolver.resolve_addresses(MASK, RRType.A) == (target,)
 
     def test_aaaa_without_v6_target_is_nodata(self, registry):
         resolver = HijackingResolver(
@@ -176,9 +176,9 @@ class TestHijackingResolver:
         resolver = HijackingResolver(
             make_resolver(registry), ["mask.icloud.com"], IPAddress.parse("45.90.28.1")
         )
-        assert resolver.resolve_addresses("example.org", RRType.A) == [
-            IPAddress.parse("93.184.216.34")
-        ]
+        assert resolver.resolve_addresses("example.org", RRType.A) == (
+            IPAddress.parse("93.184.216.34"),
+        )
 
     def test_requires_v4_redirect(self, registry):
         with pytest.raises(ValueError):
@@ -238,7 +238,7 @@ class TestWhoamiServer:
         query = DnsMessage.query(WHOAMI_DOMAIN, RRType.A)
         requester = IPAddress.parse("8.8.8.8")
         response = server.handle_from(query, requester)
-        assert response.answer_addresses() == [requester]
+        assert response.answer_addresses() == (requester,)
 
     def test_aaaa_with_v4_requester_is_nodata(self):
         server = WhoamiServer(IPAddress.parse("205.251.192.3"))
@@ -250,7 +250,7 @@ class TestWhoamiServer:
         query = DnsMessage.query(WHOAMI_DOMAIN, RRType.AAAA)
         requester = IPAddress.parse("2001:db8::53")
         response = server.handle_from(query, requester)
-        assert response.answer_addresses() == [requester]
+        assert response.answer_addresses() == (requester,)
 
     def test_plain_handle_is_nodata(self):
         server = WhoamiServer(IPAddress.parse("205.251.192.3"))

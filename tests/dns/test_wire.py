@@ -59,9 +59,9 @@ class TestWireRoundtrip:
         response = query.reply(
             answers=(aaaa_record(NAME, IPAddress.parse("2a02:26f7::1")),)
         )
-        assert roundtrip(response).answer_addresses() == [
-            IPAddress.parse("2a02:26f7::1")
-        ]
+        assert roundtrip(response).answer_addresses() == (
+            IPAddress.parse("2a02:26f7::1"),
+        )
 
     def test_nxdomain(self):
         query = DnsMessage.query(NAME, RRType.A)
@@ -191,7 +191,7 @@ def test_response_roundtrip_property(name, addresses, message_id, rcode):
     decoded = roundtrip(response)
     assert decoded.rcode == rcode
     assert decoded.message_id == message_id
-    assert decoded.answer_addresses() == list(addresses)
+    assert decoded.answer_addresses() == tuple(addresses)
 
 
 @given(names, st.integers(min_value=0, max_value=32), st.integers(0, (1 << 32) - 1))

@@ -134,7 +134,7 @@ class TestAuthoritativeServer:
         response = server.handle(DnsMessage.query(MASK, RRType.A))
         assert response.rcode == Rcode.NOERROR
         assert response.authoritative
-        assert response.answer_addresses() == [IPAddress.parse("17.0.0.1")]
+        assert response.answer_addresses() == (IPAddress.parse("17.0.0.1"),)
         assert server.stats.answered == 1
 
     def test_refuses_out_of_zone(self):

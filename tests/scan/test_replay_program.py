@@ -2,7 +2,7 @@
 
 The batch-replay kernel trusts a compiled
 :class:`~repro.dns.answer_cache.ReplayProgram` to answer every probe in
-a scan range exactly as the per-query plan path would.  These tests
+a scan range exactly as the per-query lookup path would.  These tests
 state that contract directly against the program, for every row the
 compiler emits (not just the addresses a particular scan happens to
 probe), at two world seeds so one lucky assignment layout cannot hide a
@@ -11,8 +11,9 @@ partition bug:
 * the rows cover the compiled range contiguously, in ascending order;
 * at every probe subnet — each row's step-aligned boundaries plus a
   deterministic sweep — the program's answer spec (scope included) is
-  the very spec the per-query ``zone.lookup_plan`` path produces for
-  that subnet;
+  the very spec of the answer the per-query path (the zone's answer
+  table) gives that subnet, and that answer's roster unit matches the
+  unit the assignment map's own lookup finds;
 * both hold for sub-ranges that start or end mid-row or inside the
   fallback space, which the compiler cuts out of the assignment map's
   shared answer partition;
@@ -21,12 +22,12 @@ partition bug:
 
 Comparing replay *specs* (scope, rotation counters, counter key, relay
 count, supplier) rather than produced addresses keeps the check pure:
-``lookup_plan`` does not advance rotation state, so the whole range can
-be verified without replaying a scan.
+reading the answer table does not advance rotation state, so the whole
+range can be verified without replaying a scan.
 """
 
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -112,25 +113,38 @@ def _assert_contiguous(program):
     assert all(s == e + 1 for s, e in zip(starts[1:], ends))
 
 
-def _assert_matches_plans(zone, qname, program) -> int:
-    """Compare the program's spec at every probe with ``lookup_plan``'s."""
+def _unit_key(unit):
+    return None if unit is None else (unit.pod, unit.operator_asn, unit.scope_len)
+
+
+def _assert_matches_lookups(world, zone, qname, program) -> int:
+    """Compare the program's spec at every probe with the per-query path's.
+
+    The per-query path's answer is the zone's answer-table row holding
+    the probe; its roster unit must also agree with the assignment map's
+    own lookup, the derivation the zone's handler runs.
+    """
     row_ends = program.row_ends
     row_answer = program.row_answer
     answers = program.answers
+    partition, table_answers = zone.answer_table(qname, RRType.A)
     checked = 0
     for value in _probe_values(program):
         row = bisect_left(row_ends, value)
         spec = answers[row_answer[row]]
-        planned = zone.lookup_plan(qname, RRType.A, Prefix(4, value, SOURCE_LEN))
-        assert planned is not None, f"no plan at {value:#x}"
-        assert planned[1].replay == spec, (
-            f"program answer diverges from per-query plan at {value:#x}"
+        entry = partition.roster_index[bisect_right(partition.starts, value) - 1]
+        assert table_answers[entry].replay == spec, (
+            f"program answer diverges from the per-query answer at {value:#x}"
+        )
+        unit = world.assignment.lookup(Prefix(4, value, SOURCE_LEN))
+        assert _unit_key(partition.roster[entry]) == _unit_key(unit), (
+            f"answer table row disagrees with the assignment map at {value:#x}"
         )
         checked += 1
     return checked
 
 
-def _sub_ranges(zone, qname, program):
+def _sub_ranges(world, program):
     """Deterministic sub-ranges of a compiled program's range.
 
     Three kinds, up to :data:`SUB_RANGES_PER_KIND` each, spread evenly
@@ -144,10 +158,8 @@ def _sub_ranges(zone, qname, program):
     rows = range(len(program))
 
     def fallback(row):
-        planned = zone.lookup_plan(
-            qname, RRType.A, Prefix(4, starts[row] & SOURCE_MASK, SOURCE_LEN)
-        )
-        return planned[1].unit is None
+        subnet = Prefix(4, starts[row] & SOURCE_MASK, SOURCE_LEN)
+        return world.assignment.lookup(subnet) is None
 
     wide = [row for row in rows if ends[row] - starts[row] >= 3 * STEP]
     assigned = [row for row in wide if not fallback(row)]
@@ -177,20 +189,20 @@ class TestReplayProgramProperties:
         _assert_contiguous(program)
 
     def test_specs_match_per_query_plans(self, compiled):
-        _, zone, qname, program = compiled
-        checked = _assert_matches_plans(zone, qname, program)
+        world, zone, qname, program = compiled
+        checked = _assert_matches_lookups(world, zone, qname, program)
         assert checked > len(program)  # every row contributed a probe
 
     def test_sub_ranges_match_per_query_plans(self, compiled):
         world, zone, qname, program = compiled
-        ranges = _sub_ranges(zone, qname, program)
+        ranges = _sub_ranges(world, program)
         assert len(ranges) >= 20
         partition = world.assignment.answer_partition()
         for lo, hi in ranges:
             assert program.lo <= lo <= hi <= program.hi
             sub = _compile(world, lo, hi)
             _assert_contiguous(sub)
-            assert _assert_matches_plans(zone, qname, sub) > 0
+            assert _assert_matches_lookups(world, zone, qname, sub) > 0
             # Cut from the one shared partition, not a per-range build.
             assert world.assignment.answer_partition() is partition
 
@@ -233,7 +245,7 @@ class TestSharedPartition:
         assert april.row_ends == january.row_ends
         assert april.row_answer == january.row_answer
         assert april.answers != january.answers
-        _assert_matches_plans(zone, qname, april)
+        _assert_matches_lookups(world, zone, qname, april)
 
     def test_map_edit_replaces_partition(self):
         world = build_world(WorldConfig.tiny(seed=SEEDS[0]))
@@ -260,4 +272,4 @@ class TestSharedPartition:
         assert partition.roster_index == fresh.roster_index
         assert partition.roster == fresh.roster
         _assert_contiguous(program)
-        _assert_matches_plans(zone, qname, program)
+        _assert_matches_lookups(world, zone, qname, program)
